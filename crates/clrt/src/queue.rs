@@ -1,6 +1,7 @@
 //! In-order command queues with profiling events.
 //!
-//! Execution takes place on two planes (DESIGN.md):
+//! Execution takes place on two planes (see "The two execution planes" in
+//! `docs/ARCHITECTURE.md`):
 //!
 //! * **functional** — the kernel really runs, via the `kernel-ir`
 //!   interpreter, against the context's device memory;

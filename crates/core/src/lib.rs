@@ -9,11 +9,14 @@
 //! | paper section | module |
 //! |---------------|--------|
 //! | §3 resource-sharing algorithm (`x=T/Kw`, `y=L/Km`, `z=R/Kr`, greedy saturation) | [`resource`] |
-//! | §5 host runtime: Application Monitor FSM, Kernel Scheduler, memory manager | [`proxycl`], [`scheduler`], [`memory`] |
+//! | §5 host runtime: Application Monitor FSM, Kernel Scheduler | [`proxycl`], [`scheduler`] |
 //! | §6.2 six-step JIT kernel transformation | [`jit`] |
 //! | §6.4 adaptive scheduling (chunked dequeues) | [`chunk`] |
 //! | §2.4 Virtual NDRanges | [`vrange`] |
 //! | sharing *policies* as first-class objects (baseline / EK / accelOS / extensions) | [`policy`] |
+//!
+//! §5's memory manager, which pauses applications whose buffers would
+//! exceed device memory, is not modelled: every request is admitted.
 //!
 //! # Examples
 //!
@@ -59,7 +62,6 @@
 
 pub mod chunk;
 pub mod jit;
-pub mod memory;
 pub mod policy;
 pub mod proxycl;
 pub mod resource;
@@ -69,12 +71,11 @@ pub mod vrange;
 pub use chunk::{chunk_for, Mode};
 pub use jit::{transform_module, TransformInfo, TransformedProgram};
 pub use policy::{
-    plan_with_arrivals, plan_with_arrivals_and_faults, AccelOsPolicy, ArrivalPlan, ArrivalSchedule,
-    BaselinePolicy, ElasticKernelsPolicy, FaultSchedule, GuidedPolicy, PlanCtx, PolicyFault,
-    PolicyFaultKind, PolicySet, PriorityPolicy, SchedulingPolicy, TimedReclaim, WeightedPolicy,
-    WorkerReclaim,
+    plan_with_arrivals_and_faults, AccelOsPolicy, ArrivalPlan, ArrivalSchedule, BaselinePolicy,
+    ElasticKernelsPolicy, FaultSchedule, GuidedPolicy, PlanCtx, PolicyFault, PolicyFaultKind,
+    PolicySet, PriorityPolicy, SchedulingPolicy, TimedReclaim, WeightedPolicy, WorkerReclaim,
 };
 pub use proxycl::{PendingExec, ProxyCl, ProxyProgram, RetryPolicy};
 pub use resource::{compute_shares, compute_weighted_shares, ResourceDemand, ShareAllocation};
-pub use scheduler::{plan_launches, DecisionKind, ExecRequest, LaunchDecision};
+pub use scheduler::{DecisionKind, ExecRequest, LaunchDecision};
 pub use vrange::VirtualNdRange;

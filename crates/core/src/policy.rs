@@ -21,8 +21,8 @@
 //! [`gpu_sim::ReclaimCmd`]s at chunk boundaries — down to a resumable
 //! full pause at 0 workers), and when paused victims wake again
 //! ([`WorkerResume`] → [`gpu_sim::ResumeCmd`], fired at the pressuring
-//! tenant's retirement). [`plan_with_arrivals`] drives those hooks over a
-//! staggered batch.
+//! tenant's retirement). [`plan_with_arrivals_and_faults`] drives those
+//! hooks over a staggered batch.
 //!
 //! Both execution planes consume the same decisions: the functional plane
 //! ([`crate::proxycl`]) runs each transformed kernel over the decision's
@@ -482,8 +482,7 @@ pub struct FaultSchedule {
 
 impl FaultSchedule {
     /// Whether the schedule carries no faults (the planner's fast path:
-    /// an empty schedule leaves [`plan_with_arrivals_and_faults`]
-    /// bit-identical to [`plan_with_arrivals`]).
+    /// [`plan_with_arrivals_and_faults`] then plans arrivals alone).
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
     }
@@ -1576,44 +1575,6 @@ pub struct ArrivalSchedule {
     pub resumes: Vec<PlannedResume>,
 }
 
-/// Plan a staggered batch through a policy's arrival hooks.
-///
-/// Requests are grouped into *cohorts* by arrival time. The first cohort
-/// is planned directly (it is the only tenancy the runtime can see at
-/// that point — unlike the steady-state [`SchedulingPolicy::plan`] over
-/// the whole batch, this is not clairvoyant about future arrivals); every
-/// later cohort goes through [`SchedulingPolicy::on_arrival`] with every
-/// earlier-admitted request as its `running` set, collecting reclamation
-/// directives with the cohort's arrival time attached. Planning is
-/// ahead-of-time: exact completion times are unknown here, so an
-/// earlier-admitted launch is presumed still running (see
-/// [`SchedulingPolicy::on_arrival`] for why that is safe, if
-/// conservative) — **unless** the context carries an isolated estimate
-/// ([`PlanCtx::with_estimates`]) that has fully elapsed by the arrival,
-/// in which case the launch has likely drained and is pruned from the
-/// cohort's tenancy: no reclaim targets it, and it stops diluting the
-/// shares the cohort is admitted at. Estimate-free planning is
-/// bit-identical to the unpruned planner.
-///
-/// With a single cohort (all requests simultaneous) this is **exactly**
-/// `policy.plan(ctx, requests)` — same session caches, same decisions, no
-/// reclaims — which is what makes preemptive runs bit-identical to plain
-/// ones when nothing arrives mid-run.
-///
-/// # Panics
-///
-/// Panics if `requests` is empty, the lengths differ, or the policy
-/// returns the wrong number of arrival decisions / reclaims targeting
-/// non-running launches.
-pub fn plan_with_arrivals(
-    policy: &dyn SchedulingPolicy,
-    ctx: &PlanCtx,
-    requests: &[ExecRequest],
-    arrivals: &[u64],
-) -> ArrivalSchedule {
-    plan_with_arrivals_and_faults(policy, ctx, requests, arrivals, &FaultSchedule::default())
-}
-
 /// Apply one policy-visible fault inside
 /// [`plan_with_arrivals_and_faults`]: mark an aborted tenant dead, hand
 /// the survivors to [`SchedulingPolicy::on_fault`], and collect its
@@ -1656,18 +1617,43 @@ fn apply_planned_fault(
     }
 }
 
-/// [`plan_with_arrivals`] with a [`FaultSchedule`] rehearsed into the
-/// plan: faults are interleaved with arrival cohorts in time order (a
-/// fault tied with a cohort fires after it — the arrivals were already in
-/// flight), each one driving [`SchedulingPolicy::on_fault`] over the
-/// tenants admitted and still alive at that instant. An **empty**
-/// schedule takes the exact arrival-only path, so fault-free plans are
-/// bit-identical to [`plan_with_arrivals`].
+/// Plan a staggered batch through a policy's arrival and fault hooks.
+///
+/// Requests are grouped into *cohorts* by arrival time. The first cohort
+/// is planned directly (it is the only tenancy the runtime can see at
+/// that point — unlike the steady-state [`SchedulingPolicy::plan`] over
+/// the whole batch, this is not clairvoyant about future arrivals); every
+/// later cohort goes through [`SchedulingPolicy::on_arrival`] with every
+/// earlier-admitted request as its `running` set, collecting reclamation
+/// directives with the cohort's arrival time attached. Planning is
+/// ahead-of-time: exact completion times are unknown here, so an
+/// earlier-admitted launch is presumed still running (see
+/// [`SchedulingPolicy::on_arrival`] for why that is safe, if
+/// conservative) — **unless** the context carries an isolated estimate
+/// ([`PlanCtx::with_estimates`]) that has fully elapsed by the arrival,
+/// in which case the launch has likely drained and is pruned from the
+/// cohort's tenancy: no reclaim targets it, and it stops diluting the
+/// shares the cohort is admitted at. Estimate-free planning is
+/// bit-identical to the unpruned planner.
+///
+/// `faults` is rehearsed into the plan: faults are interleaved with
+/// arrival cohorts in time order (a fault tied with a cohort fires after
+/// it — the arrivals were already in flight), each one driving
+/// [`SchedulingPolicy::on_fault`] over the tenants admitted and still
+/// alive at that instant. Pass `&FaultSchedule::default()` to plan
+/// arrivals alone.
+///
+/// With a single cohort and an empty schedule this is **exactly**
+/// `policy.plan(ctx, requests)` — same session caches, same decisions, no
+/// reclaims — which is what makes preemptive runs bit-identical to plain
+/// ones when nothing arrives mid-run.
 ///
 /// # Panics
 ///
-/// Panics as [`plan_with_arrivals`] does, or if a fault aborts an unknown
-/// request / a policy's fault reclaims target non-surviving launches.
+/// Panics if `requests` is empty, the lengths differ, the policy returns
+/// the wrong number of arrival decisions / reclaims targeting
+/// non-running launches, or a fault aborts an unknown request / a
+/// policy's fault reclaims target non-surviving launches.
 pub fn plan_with_arrivals_and_faults(
     policy: &dyn SchedulingPolicy,
     ctx: &PlanCtx,
@@ -2009,7 +1995,6 @@ impl PolicySet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::plan_launches;
     use kernel_ir::interp::NdRange;
 
     fn reqs() -> Vec<ExecRequest> {
@@ -2017,15 +2002,6 @@ mod tests {
             ExecRequest::new("a", NdRange::new_2d([1024, 512], [16, 16]), 0, 8, 2),
             ExecRequest::new("b", NdRange::new_1d(131072, 128), 2048, 8, 1),
         ]
-    }
-
-    #[test]
-    fn accelos_policy_matches_plan_launches() {
-        let dev = DeviceConfig::k20m();
-        let ctx = PlanCtx::new(&dev);
-        let via_policy = AccelOsPolicy::optimized().plan(&ctx, &reqs());
-        let via_fn = plan_launches(&dev, &reqs());
-        assert_eq!(via_policy, via_fn);
     }
 
     #[test]
@@ -2209,14 +2185,26 @@ mod tests {
         let policy = PriorityPolicy::default();
 
         // Single cohort: exactly the steady-state plan, no reclaims.
-        let same = plan_with_arrivals(&policy, &ctx, &requests, &[0, 0, 0]);
+        let same = plan_with_arrivals_and_faults(
+            &policy,
+            &ctx,
+            &requests,
+            &[0, 0, 0],
+            &FaultSchedule::default(),
+        );
         assert_eq!(same.decisions, policy.plan(&ctx, &requests));
         assert!(same.reclaims.is_empty());
 
         // Premium (index 0) arrives at t=5000 into running batch tenants:
         // the batch cohort was planned as a pair (half the machine each),
         // and the arrival reclaims both down to the floor.
-        let staggered = plan_with_arrivals(&policy, &ctx, &requests, &[5_000, 0, 0]);
+        let staggered = plan_with_arrivals_and_faults(
+            &policy,
+            &ctx,
+            &requests,
+            &[5_000, 0, 0],
+            &FaultSchedule::default(),
+        );
         let pair = policy.plan(&PlanCtx::new(&dev), &requests[1..]);
         assert_eq!(staggered.decisions[1], pair[0]);
         assert_eq!(staggered.decisions[2], pair[1]);
@@ -2242,7 +2230,13 @@ mod tests {
         // accelos over the same staggered batch: same cohorts, zero
         // reclaims (arrivals queue instead of preempting).
         let accelos = AccelOsPolicy::optimized();
-        let calm = plan_with_arrivals(&accelos, &ctx, &requests, &[5_000, 0, 0]);
+        let calm = plan_with_arrivals_and_faults(
+            &accelos,
+            &ctx,
+            &requests,
+            &[5_000, 0, 0],
+            &FaultSchedule::default(),
+        );
         assert!(calm.reclaims.is_empty());
         assert_eq!(calm.decisions[1], pair[0]);
     }
@@ -2429,7 +2423,13 @@ mod tests {
         let req = ExecRequest::new("k", NdRange::new_1d(1 << 20, 256), 0, 16, 1);
         let requests = vec![req.clone(), req.clone(), req.clone()];
         let policy = SlaPolicy::new(&[0, 2, 0]);
-        let schedule = plan_with_arrivals(&policy, &ctx, &requests, &[5_000, 0, 0]);
+        let schedule = plan_with_arrivals_and_faults(
+            &policy,
+            &ctx,
+            &requests,
+            &[5_000, 0, 0],
+            &FaultSchedule::default(),
+        );
         let pair = policy.plan(&PlanCtx::new(&dev), &requests[1..]);
         assert_eq!(
             schedule.reclaims,
@@ -2708,30 +2708,34 @@ mod tests {
 
     #[test]
     fn empty_fault_schedule_is_bit_identical() {
+        use gpu_sim::{FaultEvent, FaultKind, FaultPlan};
         let dev = DeviceConfig::k20m();
         let ctx = PlanCtx::new(&dev);
         let req = ExecRequest::new("k", NdRange::new_1d(1 << 20, 256), 0, 16, 1);
         let requests = vec![req.clone(), req.clone(), req.clone()];
         let policy = PriorityPolicy::default();
+        let empty = FaultSchedule::default();
         let arrivals = [5_000, 0, 0];
-        let plain = plan_with_arrivals(&policy, &ctx, &requests, &arrivals);
-        let faulty = plan_with_arrivals_and_faults(
-            &policy,
-            &ctx,
-            &requests,
-            &arrivals,
-            &FaultSchedule::default(),
+        let plain = plan_with_arrivals_and_faults(&policy, &ctx, &requests, &arrivals, &empty);
+        // A transient-only fault plan projects to the empty schedule and
+        // plans identically; every reclaim comes from the arrival.
+        let transient = FaultSchedule::from_fault_plan(&FaultPlan::new(vec![FaultEvent {
+            at: 1_000,
+            kind: FaultKind::Straggler {
+                cu: 0,
+                factor: 2.0,
+                until: 9_000,
+            },
+        }]));
+        assert_eq!(
+            plain,
+            plan_with_arrivals_and_faults(&policy, &ctx, &requests, &arrivals, &transient)
         );
-        assert_eq!(plain, faulty);
-        // The simultaneous batch takes the fast path in both planners.
-        let both = plan_with_arrivals_and_faults(
-            &policy,
-            &ctx,
-            &requests,
-            &[0; 3],
-            &FaultSchedule::default(),
-        );
-        assert_eq!(both, plan_with_arrivals(&policy, &ctx, &requests, &[0; 3]));
+        assert!(plain.reclaims.iter().all(|r| r.at == 5_000));
+        // The simultaneous batch takes the steady-state fast path.
+        let both = plan_with_arrivals_and_faults(&policy, &ctx, &requests, &[0; 3], &empty);
+        assert_eq!(both.decisions, policy.plan(&ctx, &requests));
+        assert!(both.reclaims.is_empty() && both.resumes.is_empty());
     }
 
     #[test]

@@ -15,13 +15,33 @@
 //! range; the timing plane converts each decision into a
 //! [`gpu_sim::LaunchPlan::PersistentDynamic`].
 
-use crate::resource::{compute_shares, ResourceDemand};
+use crate::resource::ResourceDemand;
 use crate::vrange::{VirtualNdRange, DESCRIPTOR_LEN};
-use gpu_sim::{Costs, DeviceConfig, LaunchPlan};
+use gpu_sim::{Costs, LaunchPlan};
 use kernel_ir::interp::NdRange;
 use std::sync::Arc;
 
 /// One kernel execution request as the scheduler sees it.
+///
+/// # Examples
+///
+/// ```
+/// use accelos::policy::{AccelOsPolicy, PlanCtx, SchedulingPolicy};
+/// use accelos::scheduler::ExecRequest;
+/// use gpu_sim::DeviceConfig;
+/// use kernel_ir::interp::NdRange;
+///
+/// let dev = DeviceConfig::k20m();
+/// let reqs = vec![
+///     ExecRequest::new("a", NdRange::new_1d(65536, 256), 0, 16, 1),
+///     ExecRequest::new("b", NdRange::new_1d(65536, 256), 0, 16, 1),
+/// ];
+/// let plans = AccelOsPolicy::optimized().plan(&PlanCtx::new(&dev), &reqs);
+/// // Both kernels fit simultaneously with equal shares.
+/// assert_eq!(plans[0].workers, plans[1].workers);
+/// let threads: u64 = plans.iter().map(|p| p.workers as u64 * 256).sum();
+/// assert!(threads <= dev.total_threads());
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecRequest {
     /// Kernel name (post-JIT scheduling kernel — same as the original).
@@ -158,8 +178,8 @@ impl LaunchDecision {
 }
 
 /// Build one [`DecisionKind::Chunked`] decision from an allocated worker
-/// count, applying the §6.4 queue-length chunk cap (shared by
-/// [`plan_launches`] and the policy objects in [`crate::policy`]).
+/// count, applying the §6.4 queue-length chunk cap (shared by the policy
+/// objects in [`crate::policy`]).
 pub(crate) fn chunked_decision(req: &ExecRequest, workers: u32) -> LaunchDecision {
     let v = VirtualNdRange::new(req.ndrange);
     // Chunked dequeues trade scheduling overhead for balance; when
@@ -178,44 +198,11 @@ pub(crate) fn chunked_decision(req: &ExecRequest, workers: u32) -> LaunchDecisio
     }
 }
 
-/// Decide launches for a batch of concurrent requests (equal sharing, the
-/// paper's default).
-///
-/// # Panics
-///
-/// Panics if `requests` is empty (propagated from the §3 algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use accelos::scheduler::{plan_launches, ExecRequest};
-/// use gpu_sim::DeviceConfig;
-/// use kernel_ir::interp::NdRange;
-///
-/// let dev = DeviceConfig::k20m();
-/// let reqs = vec![
-///     ExecRequest::new("a", NdRange::new_1d(65536, 256), 0, 16, 1),
-///     ExecRequest::new("b", NdRange::new_1d(65536, 256), 0, 16, 1),
-/// ];
-/// let plans = plan_launches(&dev, &reqs);
-/// // Both kernels fit simultaneously with equal shares.
-/// assert_eq!(plans[0].workers, plans[1].workers);
-/// let threads: u64 = plans.iter().map(|p| p.workers as u64 * 256).sum();
-/// assert!(threads <= dev.total_threads());
-/// ```
-pub fn plan_launches(device: &DeviceConfig, requests: &[ExecRequest]) -> Vec<LaunchDecision> {
-    let demands: Vec<ResourceDemand> = requests.iter().map(|r| r.demand).collect();
-    let alloc = compute_shares(device, &demands);
-    requests
-        .iter()
-        .zip(&alloc.wgs_per_kernel)
-        .map(|(req, &workers)| chunked_decision(req, workers))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{AccelOsPolicy, PlanCtx, SchedulingPolicy};
+    use gpu_sim::DeviceConfig;
 
     #[test]
     fn reduces_range_but_keeps_wg_shape() {
@@ -224,7 +211,7 @@ mod tests {
             ExecRequest::new("a", NdRange::new_2d([1024, 512], [16, 16]), 0, 8, 2),
             ExecRequest::new("b", NdRange::new_1d(131072, 128), 2048, 8, 1),
         ];
-        let plans = plan_launches(&dev, &reqs);
+        let plans = AccelOsPolicy::optimized().plan(&PlanCtx::new(&dev), &reqs);
         assert_eq!(plans[0].hardware_range.local, [16, 16, 1]);
         assert_eq!(plans[0].hardware_range.work_dim, 2);
         assert!(plans[0].hardware_range.total_groups() < reqs[0].ndrange.total_groups());
@@ -236,7 +223,10 @@ mod tests {
     fn four_equal_kernels_quarter_the_machine() {
         let dev = DeviceConfig::k20m();
         let req = ExecRequest::new("k", NdRange::new_1d(1 << 20, 256), 0, 16, 1);
-        let plans = plan_launches(&dev, &[req.clone(), req.clone(), req.clone(), req]);
+        let plans = AccelOsPolicy::optimized().plan(
+            &PlanCtx::new(&dev),
+            &[req.clone(), req.clone(), req.clone(), req],
+        );
         let w: Vec<u32> = plans.iter().map(|p| p.workers).collect();
         let total: u64 = w.iter().map(|&x| x as u64 * 256).sum();
         assert!(w.iter().max().unwrap() - w.iter().min().unwrap() <= 1);
@@ -250,7 +240,7 @@ mod tests {
         // A queue far longer than the worker count keeps the requested
         // chunk; see `chunk_capped_by_queue_length` for the other case.
         let reqs = vec![ExecRequest::new("k", NdRange::new_1d(8192, 8), 0, 1, 4)];
-        let plan = &plan_launches(&dev, &reqs)[0];
+        let plan = &AccelOsPolicy::optimized().plan(&PlanCtx::new(&dev), &reqs)[0];
         let sim = plan.to_sim_plan(vec![10; 1024], 2);
         match sim {
             LaunchPlan::PersistentDynamic {
@@ -274,7 +264,7 @@ mod tests {
         // idle seven workers, so the cap forces chunk 1.
         let dev = DeviceConfig::test_tiny();
         let reqs = vec![ExecRequest::new("k", NdRange::new_1d(64, 8), 0, 1, 4)];
-        let plan = &plan_launches(&dev, &reqs)[0];
+        let plan = &AccelOsPolicy::optimized().plan(&PlanCtx::new(&dev), &reqs)[0];
         assert_eq!(plan.chunk, 1);
     }
 
@@ -283,7 +273,8 @@ mod tests {
     fn sim_plan_cost_count_checked() {
         let dev = DeviceConfig::test_tiny();
         let reqs = vec![ExecRequest::new("k", NdRange::new_1d(64, 8), 0, 1, 4)];
-        let _ = plan_launches(&dev, &reqs)[0].to_sim_plan(vec![10; 3], 2);
+        let _ = AccelOsPolicy::optimized().plan(&PlanCtx::new(&dev), &reqs)[0]
+            .to_sim_plan(vec![10; 3], 2);
     }
 
     #[test]
@@ -293,6 +284,9 @@ mod tests {
             ExecRequest::new("a", NdRange::new_1d(65536, 256), 1024, 12, 2),
             ExecRequest::new("b", NdRange::new_1d(32768, 128), 0, 20, 1),
         ];
-        assert_eq!(plan_launches(&dev, &reqs), plan_launches(&dev, &reqs));
+        assert_eq!(
+            AccelOsPolicy::optimized().plan(&PlanCtx::new(&dev), &reqs),
+            AccelOsPolicy::optimized().plan(&PlanCtx::new(&dev), &reqs)
+        );
     }
 }

@@ -325,7 +325,7 @@ impl Runner {
     /// Machine launches **plus timed reclamation and resumption
     /// commands** for a staggered session, planned cohort by cohort
     /// through the policy's arrival hooks
-    /// ([`accelos::policy::plan_with_arrivals`]): the first cohort is
+    /// ([`accelos::policy::plan_with_arrivals_and_faults`]): the first cohort is
     /// planned against only itself (no clairvoyance about future
     /// arrivals), each later cohort goes through
     /// `SchedulingPolicy::on_arrival` and may shrink running launches at

@@ -11,8 +11,9 @@
 //! the sequential schedule and both parallel schedules. Two proptest
 //! planes (the shared `testgen` corpus — including the atomics-bearing
 //! kernels accelcheck admits into the parallel path — and minicl-compiled
-//! kernels with loops, barriers, local memory and helpers) plus directed
-//! endpoints for the fallback and trap-parity rules.
+//! kernels with loops, barriers, local memory and helpers), the whole
+//! Parboil suite, plus directed endpoints for the fallback and
+//! trap-parity rules.
 
 use kernel_ir::bytecode::ExecTier;
 use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange, ParSchedule, Value};
@@ -21,11 +22,13 @@ use proptest::prelude::*;
 
 const TIERS: [ExecTier; 2] = [ExecTier::Bytecode, ExecTier::BytecodeOpt];
 
-/// Run `module`'s kernel `k` on every tier/schedule combination and insist
-/// on bit-identity with the sequential tree-walker (memory and stats).
+/// Run `module`'s kernel `kernel` on every tier/schedule combination and
+/// insist on bit-identity with the sequential tree-walker (memory and
+/// stats).
 fn assert_tiers_agree(
     module: &kernel_ir::ir::Module,
     mem: &DeviceMemory,
+    kernel: &str,
     nd: NdRange,
     args: &[ArgValue],
     threads: usize,
@@ -34,7 +37,7 @@ fn assert_tiers_agree(
     let interp = Interpreter::new(module);
     let mut seq_mem = mem.clone();
     let seq_stats = interp
-        .run_kernel(&mut seq_mem, "k", nd, args)
+        .run_kernel(&mut seq_mem, kernel, nd, args)
         .unwrap_or_else(|e| panic!("{what}: tree-walk run failed: {e}"));
 
     for tier in TIERS {
@@ -47,7 +50,7 @@ fn assert_tiers_agree(
         ] {
             let mut bc_mem = mem.clone();
             let bc_stats = bc
-                .run_kernel_bytecode(&mut bc_mem, "k", nd, args, bc_threads, sched)
+                .run_kernel_bytecode(&mut bc_mem, kernel, nd, args, bc_threads, sched)
                 .unwrap_or_else(|e| panic!("{what}: {tier:?} run failed: {e}"));
             assert_eq!(
                 seq_mem, bc_mem,
@@ -105,7 +108,7 @@ fn check_generated(
         "{pattern:?} c={c} unexpectedly refused by the lowering"
     );
     let what = format!("{pattern:?} c={c} local={local} groups={groups} n={n}");
-    assert_tiers_agree(&module, &mem, nd, &args, threads, &what);
+    assert_tiers_agree(&module, &mem, "k", nd, &args, threads, &what);
 }
 
 proptest! {
@@ -210,7 +213,7 @@ proptest! {
         ];
         let nd = NdRange::new_1d(items, wg);
         let what = format!("{name} nd={nd:?} n={n}");
-        assert_tiers_agree(&module, &mem, nd, &args, threads, &what);
+        assert_tiers_agree(&module, &mem, "k", nd, &args, threads, &what);
     }
 }
 
@@ -256,7 +259,35 @@ fn unsupported_kernels_fall_back_to_the_tree_walker() {
         "unknown callee must refuse to lower"
     );
     // Every tier still succeeds (via fallback) with identical results.
-    assert_tiers_agree(&module, &mem, nd, &args, 3, "unknown-callee fallback");
+    assert_tiers_agree(&module, &mem, "k", nd, &args, 3, "unknown-callee fallback");
+}
+
+/// The whole untransformed Parboil suite at its real launch shape on one
+/// thread. One thread keeps `bfs` and `mri-gridding_reorder` (whose
+/// atomic slot allocation depends on group order) deterministic, so
+/// their full memory and stats are compared too.
+#[test]
+fn parboil_suite_agrees_across_tiers() {
+    use clrt::{Context, Platform, Program};
+    use parboil::KernelSpec;
+
+    for spec in KernelSpec::all() {
+        let mut ctx = Context::new(&Platform::nvidia());
+        let program = Program::build(spec.source).expect("bundled kernels compile");
+        let prepared =
+            parboil::datasets::prepare_launch(spec, &mut ctx, &program, 1, 7).expect("prepare");
+        let kernel = prepared.kernel;
+        let args = kernel.resolved_args().expect("args resolved");
+        assert_tiers_agree(
+            kernel.module(),
+            ctx.memory_mut(),
+            kernel.name(),
+            prepared.ndrange,
+            &args,
+            1,
+            spec.name,
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -107,21 +107,6 @@ fn modes_agree_functionally() {
     }
 }
 
-/// Memory manager integration: admissions and pauses follow the device's
-/// global memory capacity.
-#[test]
-fn memory_manager_paces_applications() {
-    use accelos::memory::{Admission, AppId, MemoryManager};
-    use gpu_sim::DeviceConfig;
-
-    let dev = DeviceConfig::test_tiny(); // 1 MiB of global memory
-    let mut mm = MemoryManager::new(dev.global_mem_bytes);
-    assert_eq!(mm.request(AppId(1), 700 * 1024), Admission::Admitted);
-    assert_eq!(mm.request(AppId(2), 700 * 1024), Admission::Paused);
-    let resumed = mm.release(AppId(1), 700 * 1024);
-    assert_eq!(resumed, vec![AppId(2)]);
-}
-
 /// Workload determinism across the whole harness: identical seeds produce
 /// identical metrics (the property every sweep figure relies on).
 #[test]

@@ -643,5 +643,10 @@ fn faulty_harness_runs_are_deterministic_and_zero_fault_is_identity() {
     let clean = runner.faulty_report(&ctx, &policy, &arrivals, &FaultPlan::default());
     let plain = runner.preemptive_report(&ctx, &policy, &arrivals);
     assert_eq!(clean, plain, "zero faults must not perturb the timeline");
+    assert_eq!(
+        format!("{clean:?}"),
+        format!("{plain:?}"),
+        "zero-fault Debug rendering must match (the golden snapshot format)"
+    );
     assert_eq!(clean.faults_injected, 0);
 }

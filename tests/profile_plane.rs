@@ -1,5 +1,5 @@
 //! The calibration plane end to end: [`ProfileStore`] estimates flowing
-//! through stale-victim pruning in `plan_with_arrivals` and through the
+//! through stale-victim pruning in `plan_with_arrivals_and_faults` and through the
 //! transparent runtime (`ProxyCl`).
 //!
 //! Pinned guarantees:
@@ -21,7 +21,8 @@
 //!   all-or-floor degradation.
 
 use accelos::policy::{
-    plan_with_arrivals, ArrivalSchedule, DeadlinePolicy, PlanCtx, PriorityPolicy,
+    plan_with_arrivals_and_faults, ArrivalSchedule, DeadlinePolicy, FaultSchedule, PlanCtx,
+    PriorityPolicy,
 };
 use accelos::proxycl::{PendingExec, ProxyCl};
 use accelos::scheduler::ExecRequest;
@@ -145,9 +146,9 @@ proptest! {
         est[0] = None;
 
         let policy = PriorityPolicy::default();
-        let baseline = plan_with_arrivals(&policy, &PlanCtx::new(&device), &requests, &arrivals);
+        let baseline = plan_with_arrivals_and_faults(&policy, &PlanCtx::new(&device), &requests, &arrivals, &FaultSchedule::default());
         let ctx = PlanCtx::new(&device).with_estimates(&est);
-        let pruned = plan_with_arrivals(&policy, &ctx, &requests, &arrivals);
+        let pruned = plan_with_arrivals_and_faults(&policy, &ctx, &requests, &arrivals, &FaultSchedule::default());
 
         prop_assert_eq!(&pruned.decisions, &baseline.decisions);
         for r in &pruned.reclaims {
@@ -189,9 +190,9 @@ proptest! {
         let est = &estimates[..requests.len()];
 
         let policy = PriorityPolicy::default();
-        let baseline = plan_with_arrivals(&policy, &PlanCtx::new(&device), &requests, &arrivals);
+        let baseline = plan_with_arrivals_and_faults(&policy, &PlanCtx::new(&device), &requests, &arrivals, &FaultSchedule::default());
         let ctx = PlanCtx::new(&device).with_estimates(est);
-        let pruned = plan_with_arrivals(&policy, &ctx, &requests, &arrivals);
+        let pruned = plan_with_arrivals_and_faults(&policy, &ctx, &requests, &arrivals, &FaultSchedule::default());
 
         let vb = victims(&baseline);
         prop_assert!(victims(&pruned).iter().all(|v| vb.contains(v)));
