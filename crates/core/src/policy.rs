@@ -606,13 +606,12 @@ fn scale_survivors_to_capacity(
 /// and the differential tests rely on identical inputs producing identical
 /// decisions.
 pub trait SchedulingPolicy: fmt::Debug + Send + Sync {
-    /// Stable identifier used on the command line (`repro --policies`) and
-    /// as the cache key in the harness (e.g. `"accelos-naive"`).
+    /// Stable identifier used on the command line (`repro --policies`)
+    /// and in rendered reports (e.g. `"accelos-naive"`).
     ///
-    /// The name must identify the policy's *behaviour*, not just its
-    /// type: the harness caches per-policy results (isolated times) under
-    /// this string, so two instances that plan differently must report
-    /// different names (encode the configuration, as
+    /// The name should identify the policy's *behaviour*, not just its
+    /// type, so two instances that plan differently are told apart in
+    /// policy sets and reports (encode the configuration, as
     /// `accelos-weighted:3:1` and `accelos-guided:<n>` do).
     fn name(&self) -> &str;
 
@@ -881,8 +880,7 @@ impl GuidedPolicy {
     /// Guided dequeues bounded at `max_chunk` groups per claim. The
     /// default bound keeps the registry name `accelos-guided`; other
     /// bounds get `accelos-guided:<max_chunk>` so differently-configured
-    /// instances never collide in name-keyed caches (see
-    /// [`SchedulingPolicy::name`]).
+    /// instances never collide in name (see [`SchedulingPolicy::name`]).
     pub fn new(max_chunk: u32) -> Self {
         let max_chunk = max_chunk.max(1);
         GuidedPolicy {
@@ -959,7 +957,7 @@ pub struct WeightedPolicy {
 impl WeightedPolicy {
     /// A weighted policy named after its weights
     /// (`accelos-weighted:w1:w2:...`), so differently-weighted instances
-    /// never collide in name-keyed caches (see [`SchedulingPolicy::name`]).
+    /// never collide in name (see [`SchedulingPolicy::name`]).
     ///
     /// # Panics
     ///
@@ -976,9 +974,10 @@ impl WeightedPolicy {
         WeightedPolicy::with_name(name, weights)
     }
 
-    /// A weighted policy with an explicit name. The name is a cache key
-    /// in the harness, so it must change whenever the weights do — prefer
-    /// [`WeightedPolicy::new`], which encodes them automatically.
+    /// A weighted policy with an explicit name. The name identifies the
+    /// policy in sets and reports, so it should change whenever the
+    /// weights do — prefer [`WeightedPolicy::new`], which encodes them
+    /// automatically.
     ///
     /// # Panics
     ///
@@ -1059,8 +1058,7 @@ impl PriorityPolicy {
     /// The first `premium` requests of a batch are high-priority. The
     /// default count of 1 keeps the registry name `accelos-priority`;
     /// other counts get `accelos-priority:<n>` so differently-configured
-    /// instances never collide in name-keyed caches (see
-    /// [`SchedulingPolicy::name`]). `premium == 0` — nobody is premium —
+    /// instances never collide in name (see [`SchedulingPolicy::name`]). `premium == 0` — nobody is premium —
     /// is allowed and behaves exactly like `accelos`.
     pub fn new(premium: usize) -> Self {
         PriorityPolicy {
@@ -1410,8 +1408,8 @@ pub struct SlaPolicy {
 
 impl SlaPolicy {
     /// An SLA policy named after its floors (`accelos-sla:f1:f2:...`),
-    /// so differently-configured instances never collide in name-keyed
-    /// caches; the default single floor of 2 keeps the registry name
+    /// so differently-configured instances never collide in name; the
+    /// default single floor of 2 keeps the registry name
     /// `accelos-sla`.
     ///
     /// # Panics

@@ -54,8 +54,8 @@ use crate::config::{DeviceConfig, WorkGroupReq};
 use crate::fault::{FailureDomain, FaultEvent, FaultKind, FaultPlan};
 use crate::launch::{KernelLaunch, LaunchId, LaunchPlan, ReclaimCmd, ResumeCmd};
 use crate::report::{KernelReport, SimReport, TraceEvent, TraceKind};
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Discrete-event simulator for one device executing a set of kernel
 /// launches.
@@ -225,6 +225,107 @@ enum Event {
     /// A failed CU comes back (scheduled by a
     /// [`crate::FaultKind::CuFailure`] with a repair time).
     Repair(usize),
+}
+
+/// One pending event. The heap orders entries on `key` alone — `time`
+/// in the high 64 bits, the insertion sequence in the low 64 — so
+/// `BinaryHeap` (a max-heap) pops the earliest, first-scheduled event
+/// and never compares the payload. Keys are unique (every schedule
+/// takes a fresh sequence number), so the pop order is a total order.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: u128,
+    ev: Event,
+}
+
+impl Entry {
+    fn new(time: u64, seq: u64, ev: Event) -> Self {
+        Entry {
+            key: (time as u128) << 64 | seq as u128,
+            ev,
+        }
+    }
+
+    fn time(&self) -> u64 {
+        (self.key >> 64) as u64
+    }
+
+    fn seq(&self) -> u64 {
+        self.key as u64
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    /// Reversed, so the max-heap's root is the smallest key.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
+/// `x.round() as u64` for `0 ≤ x < 2^53`, without the libm call: the
+/// truncation is exact in that range, and so is `x - t` (for `x ≥ 1`,
+/// `t ≤ x < 2t`, which Sterbenz's lemma makes exact), so comparing the
+/// fraction with one half reproduces round-half-away-from-zero bit for
+/// bit.
+fn round_nonneg(x: f64) -> u64 {
+    debug_assert!(
+        (0.0..9_007_199_254_740_992.0).contains(&x),
+        "round_nonneg({x}) outside [0, 2^53)"
+    );
+    let t = x as u64;
+    t + u64::from(x - t as f64 >= 0.5)
+}
+
+/// A set of CU indices, one bit per CU, iterated in ascending order (the
+/// order placement and enqueue fan-out must visit CUs in).
+#[derive(Debug, Clone)]
+struct CuSet {
+    words: Vec<u64>,
+}
+
+impl CuSet {
+    /// The empty set over CUs `0..num_cus`.
+    fn new(num_cus: usize) -> Self {
+        CuSet {
+            words: vec![0; num_cus.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, cu: usize) {
+        self.words[cu / 64] |= 1 << (cu % 64);
+    }
+
+    fn remove(&mut self, cu: usize) {
+        self.words[cu / 64] &= !(1 << (cu % 64));
+    }
+
+    /// Members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
 }
 
 impl Simulator {
@@ -424,7 +525,19 @@ struct Engine {
     /// Pending events keyed by (time, insertion sequence). Events are
     /// small `Copy` payloads stored inline — no side table to grow
     /// unboundedly or to indirect through on every pop.
-    heap: BinaryHeap<Reverse<(u64, u64, Event)>>,
+    ///
+    /// The run loop is a *hold* loop: it peeks at the root and dispatches
+    /// it in place. The first event the handler schedules overwrites the
+    /// root (one sift-down instead of a pop plus a push); the root is
+    /// popped only if the handler scheduled nothing (`holding` is still
+    /// set when it returns). This is exact: a handler schedules only at
+    /// `time ≥ now` with a fresh, larger sequence number, so the held
+    /// root stays the minimum until it is replaced, the heap holds the
+    /// same set of entries at every pop, and the pop order is unchanged.
+    heap: BinaryHeap<Entry>,
+    /// The heap's root is the event being dispatched and has not been
+    /// replaced yet (see `heap`).
+    holding: bool,
     cus: Vec<Cu>,
     tasks: Vec<Task>,
     kernels: Vec<KernelRt>,
@@ -436,9 +549,9 @@ struct Engine {
     /// placement can use. Maintained by `refresh_ready` at every
     /// start/finish/arrival/resume transition, so `rebalance` visits
     /// candidates instead of scanning every CU per growable launch.
-    /// `BTreeSet` iteration is ascending, which keeps the placement order
+    /// `CuSet` iteration is ascending, which keeps the placement order
     /// identical to the historical linear scan.
-    ready: BTreeSet<usize>,
+    ready: CuSet,
     /// Elastic-growth placement probe counters (reported by
     /// [`Simulator::run_with_stats`]).
     placement: PlacementStats,
@@ -449,6 +562,12 @@ struct Engine {
     resident_mem_load: f64,
     /// Sum over resident work groups of `threads * (1 - mem_intensity)`.
     resident_compute_load: f64,
+    /// Device memory-bandwidth capacity in threads,
+    /// `mem_capacity_frac * total_threads` (a per-run constant).
+    mem_capacity: f64,
+    /// Device issue capacity in threads,
+    /// `issue_capacity_frac * total_threads` (a per-run constant).
+    issue_capacity: f64,
     trace: Vec<TraceEvent>,
 }
 
@@ -553,11 +672,15 @@ impl Engine {
         }
         // Every CU starts empty with all its slots free (unless the device
         // has none), so the ready set starts full.
-        let ready = (0..config.num_cus)
-            .filter(|&c| cus[c].free_slots >= 1)
-            .collect();
+        let mut ready = CuSet::new(config.num_cus);
+        for c in (0..config.num_cus).filter(|&c| cus[c].free_slots >= 1) {
+            ready.insert(c);
+        }
         let num_launches = launches.len();
         let num_cus = config.num_cus;
+        let total_threads = config.total_threads() as f64;
+        let mem_capacity = config.mem_capacity_frac * total_threads;
+        let issue_capacity = config.issue_capacity_frac * total_threads;
         Engine {
             config,
             launches,
@@ -576,6 +699,7 @@ impl Engine {
             now: 0,
             seq: 0,
             heap: BinaryHeap::new(),
+            holding: false,
             cus,
             tasks: Vec::new(),
             kernels,
@@ -586,13 +710,26 @@ impl Engine {
             rr_cursor: 0,
             resident_mem_load: 0.0,
             resident_compute_load: 0.0,
+            mem_capacity,
+            issue_capacity,
             trace: Vec::new(),
         }
     }
 
+    /// Schedule `ev` at `time` with the next sequence number: overwrite
+    /// the held root if the event being dispatched has not been replaced
+    /// yet (see `heap`), push otherwise.
     fn schedule(&mut self, time: u64, ev: Event) {
         self.seq += 1;
-        self.heap.push(Reverse((time, self.seq, ev)));
+        let entry = Entry::new(time, self.seq, ev);
+        if self.holding {
+            self.holding = false;
+            let mut root = self.heap.peek_mut().expect("a held root");
+            debug_assert!(entry.key > root.key, "events never go back in time");
+            *root = entry;
+        } else {
+            self.heap.push(entry);
+        }
     }
 
     /// Schedule task `tid`'s next [`Event::PhaseDone`] and remember its
@@ -600,10 +737,8 @@ impl Engine {
     /// event (the run loop drops a `PhaseDone` whose sequence no longer
     /// matches the task's).
     fn schedule_phase(&mut self, time: u64, tid: usize) {
-        self.seq += 1;
+        self.schedule(time, Event::PhaseDone(tid));
         self.tasks[tid].phase_seq = self.seq;
-        self.heap
-            .push(Reverse((time, self.seq, Event::PhaseDone(tid))));
     }
 
     fn run(mut self) -> (SimReport, PlacementStats) {
@@ -616,9 +751,11 @@ impl Engine {
         for i in 0..self.faults.len() {
             self.schedule(self.faults[i].at, Event::Fault(i));
         }
-        while let Some(Reverse((time, seq, ev))) = self.heap.pop() {
-            self.now = time;
-            match ev {
+        while let Some(&root) = self.heap.peek() {
+            let seq = root.seq();
+            self.now = root.time();
+            self.holding = true;
+            match root.ev {
                 Event::Arrival(l) => self.on_arrival(l),
                 // A stale sequence number means a fault already tore the
                 // task down (and rolled its in-flight work back): the
@@ -629,6 +766,10 @@ impl Engine {
                 Event::Resume(i) => self.on_resume(i),
                 Event::Fault(i) => self.on_fault(i),
                 Event::Repair(cu) => self.on_repair(cu),
+            }
+            if self.holding {
+                self.holding = false;
+                self.heap.pop();
             }
         }
         let makespan = self.kernels.iter().map(|k| k.end).max().unwrap_or(0);
@@ -676,7 +817,7 @@ impl Engine {
         if !c.failed && c.free_slots >= 1 && c.queue.is_empty() {
             self.ready.insert(cu);
         } else {
-            self.ready.remove(&cu);
+            self.ready.remove(cu);
         }
     }
 
@@ -701,7 +842,8 @@ impl Engine {
     /// faults injected nothing is ever suspect, so every zero-fault
     /// decision is bit-identical to the health-blind engine.
     fn cu_suspect(&self, cu: usize) -> bool {
-        if self.health_blind {
+        // Only injected faults make a CU suspect.
+        if self.health_blind || self.faults.is_empty() {
             return false;
         }
         self.now < self.suspect_until[cu]
@@ -746,7 +888,7 @@ impl Engine {
         let found = if self.linear_placement {
             self.place_scan(0..self.cus.len(), req, &mut visits)
         } else {
-            self.place_scan(self.ready.iter().copied(), req, &mut visits)
+            self.place_scan(self.ready.iter(), req, &mut visits)
         };
         self.placement.attempts += 1;
         self.placement.cu_visits += visits;
@@ -772,7 +914,7 @@ impl Engine {
             return;
         }
         let n = self.launches[l].plan.machine_wgs();
-        let mut touched = BTreeSet::new();
+        let mut touched = CuSet::new(self.config.num_cus);
         for w in 0..n {
             let kind = match &self.launches[l].plan {
                 LaunchPlan::Hardware { wg_costs } => TaskKind::HardwareWg { cost: wg_costs[w] },
@@ -850,8 +992,8 @@ impl Engine {
     /// snapshots the contention loads of its predecessors. Shared by
     /// arrivals, resumes and fault migrations, which all enqueue
     /// round-robin.
-    fn try_start_each(&mut self, touched: &BTreeSet<usize>) {
-        for &cu in touched {
+    fn try_start_each(&mut self, touched: &CuSet) {
+        for cu in touched.iter() {
             self.try_start(cu);
         }
     }
@@ -946,7 +1088,7 @@ impl Engine {
         if missing == 0 {
             return;
         }
-        let mut touched = BTreeSet::new();
+        let mut touched = CuSet::new(self.config.num_cus);
         for _ in 0..missing {
             let cu = self.next_rr_cu_healthy();
             let tid = self.tasks.len();
@@ -1049,7 +1191,7 @@ impl Engine {
             return; // already dead; the injection found nothing to break
         }
         self.cus[cu].failed = true;
-        self.ready.remove(&cu);
+        self.ready.remove(cu);
         if let Some(t) = repair_at {
             let back = t.max(self.now);
             self.schedule(back, Event::Repair(cu));
@@ -1063,7 +1205,7 @@ impl Engine {
         for &tid in &residents {
             self.kill_resident(tid, cu, true);
         }
-        let mut touched = BTreeSet::new();
+        let mut touched = CuSet::new(self.config.num_cus);
         for &tid in residents.iter().rev() {
             let dest = self.next_rr_cu_healthy();
             self.tasks[tid].cu = dest;
@@ -1092,7 +1234,7 @@ impl Engine {
             return;
         }
         self.aborted[l] = true;
-        let mut touched = BTreeSet::new();
+        let mut touched = CuSet::new(self.config.num_cus);
         for cu in 0..self.config.num_cus {
             let before = self.cus[cu].queue.len();
             self.cus[cu]
@@ -1237,15 +1379,14 @@ impl Engine {
     /// pressure of the two device resources, never below 1 (nominal
     /// speed). A snapshot taken at segment start.
     fn contention_factor(&self, mem_intensity: f64) -> f64 {
-        let t = self.config.total_threads() as f64;
-        let rho_m = self.resident_mem_load / (self.config.mem_capacity_frac * t);
-        let rho_c = self.resident_compute_load / (self.config.issue_capacity_frac * t);
+        let rho_m = self.resident_mem_load / self.mem_capacity;
+        let rho_c = self.resident_compute_load / self.issue_capacity;
         (mem_intensity * rho_m + (1.0 - mem_intensity) * rho_c).max(1.0)
     }
 
     fn scaled(&self, cost: u64, launch: usize) -> u64 {
         let m = self.launches[launch].mem_intensity;
-        (cost as f64 * self.contention_factor(m)).round() as u64
+        round_nonneg(cost as f64 * self.contention_factor(m))
     }
 
     /// Stretch `cost` by CU `cu`'s straggler factor if a slowdown window
@@ -1253,7 +1394,7 @@ impl Engine {
     /// arithmetic at all, keeping fault-free runs bit-identical.
     fn straggled(&self, cost: u64, cu: usize) -> u64 {
         match self.cus[cu].slow {
-            Some((factor, until)) if self.now < until => (cost as f64 * factor).round() as u64,
+            Some((factor, until)) if self.now < until => round_nonneg(cost as f64 * factor),
             _ => cost,
         }
     }
@@ -2958,5 +3099,52 @@ mod tests {
             .filter(|t| t.kind == TraceKind::WgEnd)
             .count();
         assert_eq!(starts, ends, "fault teardowns book their WgEnd");
+    }
+
+    #[test]
+    fn round_nonneg_matches_libm_on_edge_cases() {
+        for x in [
+            0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            4_503_599_627_370_495.5,
+            4_503_599_627_370_496.0,
+            9_007_199_254_740_991.0,
+        ] {
+            assert_eq!(round_nonneg(x), x.round() as u64, "x = {x}");
+        }
+    }
+
+    #[test]
+    fn cu_set_iterates_ascending_across_words() {
+        let mut s = CuSet::new(130);
+        for cu in [129, 0, 64, 63, 7, 65] {
+            s.insert(cu);
+        }
+        s.remove(7);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 65, 129]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Every non-negative double below 2^53, drawn by bit pattern
+        /// (non-negative doubles order like their bits), so each binade
+        /// is equally likely and failures shrink toward small values.
+        #[test]
+        fn round_nonneg_matches_libm(bits in 0u64..9_007_199_254_740_992f64.to_bits()) {
+            let x = f64::from_bits(bits);
+            proptest::prop_assert_eq!(round_nonneg(x), x.round() as u64);
+        }
+
+        /// Exact half-integers below 2^52, where rounding is decided by
+        /// the tie rule.
+        #[test]
+        fn round_nonneg_matches_libm_on_ties(n in 0u64..(1 << 52)) {
+            let x = n as f64 + 0.5;
+            proptest::prop_assert_eq!(round_nonneg(x), x.round() as u64);
+        }
     }
 }

@@ -26,7 +26,7 @@
 use accelos::chunk::{chunk_for, Mode};
 use accelos::policy::{plan_with_arrivals_and_faults, FaultSchedule, PlanCtx, SchedulingPolicy};
 use accelos::resource::{ResourceDemand, ShareAllocation};
-use accelos::scheduler::{ExecRequest, LaunchDecision};
+use accelos::scheduler::{DecisionKind, ExecRequest, LaunchDecision};
 use gpu_sim::{
     Costs, DeviceConfig, FailureDomain, FaultPlan, KernelLaunch, LaunchId, ReclaimCmd, ResumeCmd,
     SimReport, Simulator, WorkGroupReq,
@@ -35,14 +35,46 @@ use parboil::{KernelDb, KernelSpec};
 use sched_metrics::profile::ProfileStore;
 use sched_metrics::IntervalSet;
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Software cost added per virtual group by the persistent-worker runtime
 /// (index arithmetic of the replaced work-item functions).
 const PER_VG_OVERHEAD: u64 = 2;
 
-/// Inner level of the isolated-time cache: `(kernel, seed)` → time.
-type IsolatedTimes = HashMap<(&'static str, u64), u64>;
+/// What fixes one planned launch beyond its session's kernel and cost
+/// draw: the decision's kind, width and chunk (all that
+/// [`LaunchDecision::to_sim_plan`] reads of it) and the growth ceiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct LaunchSig {
+    kind: DecisionKind,
+    workers: u32,
+    chunk: u32,
+    max_workers: Option<u32>,
+}
+
+/// Key of one isolated time: the kernel's position in the runner's
+/// database, the repetition seed and the solo launch's signature —
+/// together they fix the solo simulation's input, so two policies that
+/// plan the same solo launch share one entry.
+type SoloKey = (u16, u64, LaunchSig);
+
+/// The isolated-time cache is never locked across a simulation, so only a
+/// bug inside its own bookkeeping can poison it.
+const ISOLATED_LOCK: &str = "isolated-time cache bookkeeping never panics";
+
+/// The isolated-time cache. Finished entries are plain values. A key
+/// being simulated also has an in-flight cell: concurrent lookups of the
+/// key wait on it instead of simulating again, and it is dropped once
+/// the value lands in `times`.
+#[derive(Debug, Default)]
+struct SoloTimes {
+    times: HashMap<SoloKey, u64>,
+    in_flight: HashMap<SoloKey, Arc<OnceLock<u64>>>,
+    /// Solo simulations run so far, for the tests that check a key is
+    /// simulated once.
+    #[cfg(test)]
+    simulations: usize,
+}
 
 /// Result of one workload execution under one policy.
 ///
@@ -104,6 +136,8 @@ impl WorkloadRun {
 #[derive(Debug)]
 struct RepKernel {
     spec: &'static KernelSpec,
+    /// Position of `spec` in the runner's database.
+    id: u16,
     req: WorkGroupReq,
     demand: ResourceDemand,
     insn_count: usize,
@@ -137,7 +171,12 @@ impl<'r> RepContext<'r> {
         let kernels = workload
             .iter()
             .map(|spec| {
-                let (_, profile) = runner.db.get(spec.name).expect("spec from the same table");
+                let (id, (_, profile)) = runner
+                    .db
+                    .iter()
+                    .enumerate()
+                    .find(|(_, (s, _))| s.name == spec.name)
+                    .expect("spec from the same table");
                 let req = WorkGroupReq {
                     threads: spec.wg_size,
                     local_mem: profile.static_local_bytes as u32,
@@ -149,6 +188,7 @@ impl<'r> RepContext<'r> {
                     .clone();
                 RepKernel {
                     spec,
+                    id: u16::try_from(id).expect("kernel database fits u16 ids"),
                     req,
                     demand: ResourceDemand {
                         wg_threads: req.threads,
@@ -203,6 +243,7 @@ impl<'r> RepContext<'r> {
             seed: self.seed,
             kernels: vec![RepKernel {
                 spec: k.spec,
+                id: k.id,
                 req: k.req,
                 demand: k.demand,
                 insn_count: k.insn_count,
@@ -235,10 +276,9 @@ impl<'r> RepContext<'r> {
 pub struct Runner {
     device: DeviceConfig,
     db: KernelDb,
-    /// Isolated times, keyed policy-name → `(kernel, seed)`. Two levels so
-    /// the sweep's hot path (overwhelmingly cache hits) looks up with the
-    /// borrowed `policy.name()` and never allocates a key string.
-    isolated: Mutex<HashMap<String, IsolatedTimes>>,
+    /// Isolated times, keyed by kernel, seed and solo launch signature
+    /// (see [`SoloKey`]).
+    isolated: Mutex<SoloTimes>,
     /// Optional calibration store ([`ProfileStore`]). When attached,
     /// preemptive planning reads isolated-time estimates from it (falling
     /// back to — and recording — the exact solo simulation for indices a
@@ -261,7 +301,7 @@ impl Runner {
         Runner {
             device,
             db,
-            isolated: Mutex::new(HashMap::new()),
+            isolated: Mutex::new(SoloTimes::default()),
             profile: Mutex::new(None),
         }
     }
@@ -316,10 +356,22 @@ impl Runner {
         arrivals: &[u64],
     ) -> Vec<KernelLaunch> {
         assert_eq!(ctx.kernels.len(), arrivals.len(), "one arrival per kernel");
+        let (decisions, sigs) = self.plan_in(ctx, policy);
+        self.build_launches(ctx, &decisions, &sigs, arrivals)
+    }
+
+    /// Plan the session's whole batch under `policy`, all requests at
+    /// once, and sign each decision.
+    fn plan_in(
+        &self,
+        ctx: &RepContext<'_>,
+        policy: &dyn SchedulingPolicy,
+    ) -> (Vec<LaunchDecision>, Vec<LaunchSig>) {
         let requests = ctx.exec_requests(policy.chunk_mode());
         let plan_ctx = ctx.plan_ctx();
         let decisions = policy.plan(&plan_ctx, &requests);
-        self.build_launches(ctx, policy, &plan_ctx, &requests, &decisions, arrivals)
+        let sigs = sign(policy, &plan_ctx, &requests, &decisions);
+        (decisions, sigs)
     }
 
     /// Machine launches **plus timed reclamation and resumption
@@ -338,7 +390,7 @@ impl Runner {
     /// [`SchedulingPolicy::estimate_indices`] (the deadline family's
     /// deadlined tenant), the planning context carries the session's
     /// **cached isolated-time estimates** (computed through the same
-    /// per-policy cache as the metrics' `alone` times), which the policy
+    /// plan-keyed cache as the metrics' `alone` times), which the policy
     /// consults to reclaim just enough width for an arriving deadline to
     /// hold. Undeclared indices — and policies that declare none — skip
     /// the estimate simulations entirely: they would ignore the values
@@ -428,14 +480,8 @@ impl Runner {
         }
         let schedule =
             plan_with_arrivals_and_faults(policy, &plan_ctx, &requests, arrivals, projected);
-        let launches = self.build_launches(
-            ctx,
-            policy,
-            &plan_ctx,
-            &requests,
-            &schedule.decisions,
-            arrivals,
-        );
+        let sigs = sign(policy, &plan_ctx, &requests, &schedule.decisions);
+        let launches = self.build_launches(ctx, &schedule.decisions, &sigs, arrivals);
         let reclaims = schedule
             .reclaims
             .iter()
@@ -463,16 +509,15 @@ impl Runner {
     fn build_launches(
         &self,
         ctx: &RepContext<'_>,
-        policy: &dyn SchedulingPolicy,
-        plan_ctx: &PlanCtx<'_>,
-        requests: &[ExecRequest],
         decisions: &[LaunchDecision],
+        sigs: &[LaunchSig],
         arrivals: &[u64],
     ) -> Vec<KernelLaunch> {
         decisions
             .iter()
+            .zip(sigs)
             .enumerate()
-            .map(|(i, decision)| {
+            .map(|(i, (decision, sig))| {
                 let k = &ctx.kernels[i];
                 KernelLaunch {
                     name: k.spec.name.to_string(),
@@ -480,11 +525,7 @@ impl Runner {
                     req: k.req,
                     mem_intensity: k.spec.mem_intensity,
                     plan: decision.to_sim_plan(k.costs.clone(), PER_VG_OVERHEAD),
-                    // Adaptive policies may grow into capacity freed when
-                    // other kernels retire (the adaptivity of iterative
-                    // applications, see `KernelLaunch::max_workers`), up to
-                    // the share a §3 single-kernel allocation would grant.
-                    max_workers: policy.solo_workers(plan_ctx, i, &requests[i]),
+                    max_workers: sig.max_workers,
                 }
             })
             .collect()
@@ -528,55 +569,50 @@ impl Runner {
         sim.with_faults(faults).run()
     }
 
-    /// Isolated execution time of one kernel under `policy` (cached by
-    /// policy name — see [`SchedulingPolicy::name`] for why the name must
-    /// identify the policy's behaviour).
+    /// Isolated execution time of one kernel under `policy`. Cached by
+    /// kernel, seed and the solo launch `policy` plans, so policies that
+    /// plan the same solo launch share one simulation.
     pub fn isolated_time(
         &self,
         policy: &dyn SchedulingPolicy,
         spec: &'static KernelSpec,
         seed: u64,
     ) -> u64 {
-        if let Some(&t) = self
-            .isolated
-            .lock()
-            .unwrap()
-            .get(policy.name())
-            .and_then(|m| m.get(&(spec.name, seed)))
-        {
-            return t;
-        }
         let ctx = self.rep_context(&[spec], seed);
         self.isolated_time_in(&ctx, policy, 0)
     }
 
     /// Isolated time of the session's kernel `index` under `policy`,
-    /// reusing the session's cost draw on cache misses instead of
-    /// re-drawing it.
+    /// reusing the session's cost draw. The solo launch is planned on
+    /// every call (its signature is the cache key) but simulated once
+    /// per key, even when several threads miss the same key at once.
     fn isolated_time_in(
         &self,
         ctx: &RepContext<'_>,
         policy: &dyn SchedulingPolicy,
         index: usize,
     ) -> u64 {
-        let spec = ctx.kernels[index].spec;
-        if let Some(&t) = self
-            .isolated
-            .lock()
-            .unwrap()
-            .get(policy.name())
-            .and_then(|m| m.get(&(spec.name, ctx.seed)))
-        {
-            return t;
-        }
-        let report = self.simulate(self.launches_in(&ctx.solo(index), policy, &[0]));
-        let t = report.total_time().max(1);
-        self.isolated
-            .lock()
-            .unwrap()
-            .entry(policy.name().to_string())
-            .or_default()
-            .insert((spec.name, ctx.seed), t);
+        let solo = ctx.solo(index);
+        let (decisions, sigs) = self.plan_in(&solo, policy);
+        let key = (ctx.kernels[index].id, ctx.seed, sigs[0]);
+        let cell = {
+            let mut cache = self.isolated.lock().expect(ISOLATED_LOCK);
+            if let Some(&t) = cache.times.get(&key) {
+                return t;
+            }
+            cache.in_flight.entry(key).or_default().clone()
+        };
+        let t = *cell.get_or_init(|| {
+            #[cfg(test)]
+            {
+                self.isolated.lock().expect(ISOLATED_LOCK).simulations += 1;
+            }
+            let report = self.simulate(self.build_launches(&solo, &decisions, &sigs, &[0]));
+            report.total_time().max(1)
+        });
+        let mut cache = self.isolated.lock().expect(ISOLATED_LOCK);
+        cache.times.insert(key, t);
+        cache.in_flight.remove(&key);
         t
     }
 
@@ -711,7 +747,7 @@ impl Runner {
     }
 
     /// Convert a shared-run report into a [`WorkloadRun`] (isolated times
-    /// from the per-policy cache).
+    /// from the plan-keyed cache).
     fn finish_run(
         &self,
         ctx: &RepContext<'_>,
@@ -742,11 +778,33 @@ impl Runner {
     }
 }
 
+/// Sign each decision of a planned batch (see [`LaunchSig`]). The growth
+/// ceiling comes from the policy: adaptive policies may grow into capacity
+/// freed when other kernels retire (the adaptivity of iterative
+/// applications, see `KernelLaunch::max_workers`), up to the share a §3
+/// single-kernel allocation would grant.
+fn sign(
+    policy: &dyn SchedulingPolicy,
+    plan_ctx: &PlanCtx<'_>,
+    requests: &[ExecRequest],
+    decisions: &[LaunchDecision],
+) -> Vec<LaunchSig> {
+    decisions
+        .iter()
+        .enumerate()
+        .map(|(i, d)| LaunchSig {
+            kind: d.kind,
+            workers: d.workers,
+            chunk: d.chunk,
+            max_workers: policy.solo_workers(plan_ctx, i, &requests[i]),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use accelos::policy::{AccelOsPolicy, BaselinePolicy, PolicySet};
-    use std::sync::Arc;
 
     fn k(name: &str) -> &'static KernelSpec {
         KernelSpec::by_name(name).expect("kernel exists")
@@ -901,5 +959,67 @@ mod tests {
             Arc::ptr_eq(ctx.costs(0), ctx.costs(1)),
             "same kernel in one session should share its cost table"
         );
+    }
+
+    /// The §6.4 chunk `accelos` compiles kernel `name` with.
+    fn optimized_chunk(r: &Runner, name: &str) -> u32 {
+        r.rep_context(&[k(name)], 1).exec_requests(Mode::Optimized)[0].chunk
+    }
+
+    #[test]
+    fn naive_and_adaptive_share_the_solo_entry_of_a_chunk_one_kernel() {
+        let r = Runner::new(DeviceConfig::k20m());
+        assert_eq!(optimized_chunk(&r, "sgemm"), 1);
+        let naive = r.isolated_time(&AccelOsPolicy::naive(), k("sgemm"), 5);
+        let adaptive = r.isolated_time(&AccelOsPolicy::optimized(), k("sgemm"), 5);
+        assert_eq!(naive, adaptive);
+        let cache = r.isolated.lock().unwrap();
+        assert_eq!(cache.times.len(), 1, "one solo launch, one entry");
+        assert_eq!(cache.simulations, 1);
+        assert!(cache.in_flight.is_empty());
+    }
+
+    #[test]
+    fn naive_and_adaptive_keep_separate_solo_entries_when_chunks_differ() {
+        let r = Runner::new(DeviceConfig::k20m());
+        assert_eq!(optimized_chunk(&r, "histo_final"), 4);
+        r.isolated_time(&AccelOsPolicy::naive(), k("histo_final"), 5);
+        r.isolated_time(&AccelOsPolicy::optimized(), k("histo_final"), 5);
+        assert_eq!(r.isolated.lock().unwrap().times.len(), 2);
+    }
+
+    #[test]
+    fn concurrent_misses_of_one_key_run_one_simulation() {
+        let r = Runner::new(DeviceConfig::k20m());
+        let barrier = std::sync::Barrier::new(4);
+        let times: Vec<u64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        r.isolated_time(&AccelOsPolicy::optimized(), k("lbm"), 7)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(times.iter().all(|&t| t == times[0]));
+        let cache = r.isolated.lock().unwrap();
+        assert_eq!(cache.simulations, 1, "every miss waits on one simulation");
+        assert_eq!(cache.times.len(), 1);
+        assert!(cache.in_flight.is_empty(), "in-flight cells are dropped");
+    }
+
+    #[test]
+    fn naive_and_adaptive_agree_on_an_all_chunk_one_pair() {
+        let r = Runner::new(DeviceConfig::k20m());
+        let wl = [k("sgemm"), k("lbm")];
+        assert!(wl.iter().all(|s| optimized_chunk(&r, s.name) == 1));
+        let ctx = r.rep_context(&wl, 13);
+        let naive = r.run_in(&ctx, &AccelOsPolicy::naive(), &[0, 0]);
+        let adaptive = r.run_in(&ctx, &AccelOsPolicy::optimized(), &[0, 0]);
+        assert_eq!(naive, adaptive);
+        let fresh = r.run_workload(&AccelOsPolicy::optimized(), &wl, 13);
+        assert_eq!(adaptive, fresh);
     }
 }
