@@ -492,27 +492,18 @@ impl FaultSchedule {
     /// distinct CU), kernel aborts become [`PolicyFaultKind::Abort`].
     /// Transients — stragglers and repairable failures — are dropped:
     /// planning reacts to lasting capacity changes, the simulator handles
-    /// the wobble. Domain failures need the domain partition to be
-    /// projected; without one (this constructor) they are dropped — use
-    /// [`FaultSchedule::from_fault_plan_with_domains`] when the device is
-    /// partitioned.
+    /// the wobble.
+    ///
+    /// A permanent [`gpu_sim::FaultKind::DomainFailure`] resolves through
+    /// the plan's own partition ([`gpu_sim::FaultPlan::domains`]) into
+    /// one correlated [`PolicyFaultKind::DomainLoss`] carrying the
+    /// *whole* member count — the domain-level capacity visibility that
+    /// lets premium-exempting policies react to 25% of the fleet
+    /// vanishing at once. CUs already dead (individually or through an
+    /// earlier domain) are not double-counted, a later individual failure
+    /// of a CU inside a dead domain adds nothing, and a domain the plan
+    /// does not carry projects to nothing.
     pub fn from_fault_plan(plan: &gpu_sim::FaultPlan) -> Self {
-        FaultSchedule::from_fault_plan_with_domains(plan, &[])
-    }
-
-    /// [`FaultSchedule::from_fault_plan`] with the device's
-    /// [`gpu_sim::FailureDomain`] partition attached, so permanent
-    /// [`gpu_sim::FaultKind::DomainFailure`] events project as one
-    /// correlated [`PolicyFaultKind::DomainLoss`] carrying the *whole*
-    /// member count — the domain-level capacity visibility that lets
-    /// premium-exempting policies react to 25% of the fleet vanishing at
-    /// once. CUs already dead (individually or through an earlier domain)
-    /// are not double-counted, and a later individual failure of a CU
-    /// inside a dead domain adds nothing.
-    pub fn from_fault_plan_with_domains(
-        plan: &gpu_sim::FaultPlan,
-        domains: &[gpu_sim::FailureDomain],
-    ) -> Self {
         let mut faults = Vec::new();
         let mut seen_cus = Vec::new();
         for e in &plan.events {
@@ -531,7 +522,7 @@ impl FaultSchedule {
                     domain,
                     repair_at: None,
                 } => {
-                    let Some(members) = domains.get(domain).map(|d| &d.cus) else {
+                    let Some(members) = plan.domains.get(domain).map(|d| &d.cus) else {
                         continue;
                     };
                     let fresh: Vec<usize> = members
@@ -2581,8 +2572,7 @@ mod tests {
     #[test]
     fn domain_projection_counts_whole_domains_once() {
         use gpu_sim::{FailureDomain, FaultEvent, FaultKind, FaultPlan};
-        let domains = FailureDomain::split_evenly(12, 3); // 4 CUs each
-        let plan = FaultPlan::new(vec![
+        let mut plan = FaultPlan::new(vec![
             // CU 1 (domain 0) dies alone first.
             FaultEvent {
                 at: 50,
@@ -2624,7 +2614,13 @@ mod tests {
                 },
             },
         ]);
-        let sched = FaultSchedule::from_fault_plan_with_domains(&plan, &domains);
+        // Without a partition, domain events cannot be projected.
+        assert_eq!(
+            FaultSchedule::from_fault_plan(&plan).faults.len(),
+            2 // the two individual CU failures only
+        );
+        plan.domains = FailureDomain::split_evenly(12, 3); // 4 CUs each
+        let sched = FaultSchedule::from_fault_plan(&plan);
         assert_eq!(
             sched.faults,
             vec![
@@ -2637,11 +2633,6 @@ mod tests {
                     kind: PolicyFaultKind::DomainLoss { cus_lost: 3 }
                 },
             ]
-        );
-        // Without the partition, domain events cannot be projected.
-        assert_eq!(
-            FaultSchedule::from_fault_plan(&plan).faults.len(),
-            2 // the two individual CU failures only
         );
     }
 

@@ -282,9 +282,11 @@ impl ProxyCl {
     /// [`gpu_sim::FaultKind::KernelAbort`] events index requests *within
     /// one batch* (abort of `LaunchId(i)` kills batch request `i`), and
     /// aborted requests are retried with backoff per the active
-    /// [`RetryPolicy`]. Functional results are never affected — faults
-    /// model device behaviour, not data corruption. The default (empty)
-    /// plan leaves the timeline bit-identical to a fault-free runtime.
+    /// [`RetryPolicy`]. A [`gpu_sim::FaultKind::DomainFailure`] fails the
+    /// members of the plan's own [`FaultPlan::domains`] together.
+    /// Functional results are never affected — faults model device
+    /// behaviour, not data corruption. The default (empty) plan leaves
+    /// the timeline bit-identical to a fault-free runtime.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -395,7 +397,10 @@ impl ProxyCl {
     /// # Errors
     ///
     /// As [`ProxyCl::enqueue_concurrent`], plus [`ClError::InvalidArgs`]
-    /// when the arrival count does not match the batch.
+    /// when the arrival count does not match the batch, or when the fault
+    /// plan ([`ProxyCl::with_faults`]) names a CU the device lacks, a
+    /// failure domain the plan does not carry, or a request outside the
+    /// batch.
     pub fn enqueue_concurrent_at(
         &mut self,
         batch: Vec<PendingExec>,
@@ -409,6 +414,9 @@ impl ProxyCl {
                 "one arrival offset per batched request".into(),
             ));
         }
+        self.faults
+            .check_targets(self.ctx.device().num_cus)
+            .map_err(|e| ClError::InvalidArgs(format!("fault plan: {e}")))?;
 
         // Kernel Scheduler: one policy plan across the whole batch (the
         // paper's default policy is equal §3 shares; see
@@ -430,8 +438,8 @@ impl ProxyCl {
 
         // Split the fault plan: abort event `j` of request `i` applies to
         // its `j`-th incarnation (0 = the original launch), so each abort
-        // consumes one retry life; device-level faults (CU failures,
-        // stragglers) replay identically in every retry simulation.
+        // consumes one retry life; device-level faults (CU, domain and
+        // straggler faults) replay identically in every retry simulation.
         let mut abort_times: Vec<Vec<u64>> = vec![Vec::new(); batch.len()];
         let mut device_faults: Vec<FaultEvent> = Vec::new();
         for ev in &self.faults.events {
@@ -569,22 +577,25 @@ impl ProxyCl {
                     workers: r.workers,
                 });
             }
-            for ev in &device_faults {
-                sim.add_fault(*ev);
-            }
+            let mut events = device_faults.clone();
             for (i, times) in abort_times.iter().enumerate() {
                 for (j, &at) in times.iter().enumerate() {
                     // Abort j targets incarnation j; later aborts wait for
                     // the retry copy they will kill to exist.
                     if let Some(&id) = lineage[i].get(j) {
-                        sim.add_fault(FaultEvent {
+                        events.push(FaultEvent {
                             at,
                             kind: FaultKind::KernelAbort { launch: id },
                         });
                     }
                 }
             }
-            let report = sim.run();
+            let report = sim
+                .with_faults(FaultPlan {
+                    domains: self.faults.domains.clone(),
+                    ..FaultPlan::new(events)
+                })
+                .run();
 
             let mut respawned = false;
             for (i, ids) in lineage.iter().enumerate() {
@@ -1087,6 +1098,79 @@ mod tests {
             os.enqueue_concurrent(batch),
             Err(ClError::InvalidArgs(_))
         ));
+    }
+
+    #[test]
+    fn fault_plan_with_unknown_targets_rejected() {
+        // The tiny device has CUs 0 and 1: each plan names a target it
+        // lacks and must come back as a typed error, not a panic.
+        let device_fault = |kind| gpu_sim::FaultPlan::new(vec![FaultEvent { at: 10, kind }]);
+        let straggler = device_fault(FaultKind::Straggler {
+            cu: 999,
+            factor: 2.0,
+            until: 100,
+        });
+        let failure = device_fault(FaultKind::CuFailure {
+            cu: 999,
+            repair_at: None,
+        });
+        // A domain failure outside the plan's (empty) partition.
+        let domain = device_fault(FaultKind::DomainFailure {
+            domain: 0,
+            repair_at: None,
+        });
+        // A partition whose member CU is out of range.
+        let mut member = domain.clone();
+        member.domains = gpu_sim::FailureDomain::split_evenly(3, 1);
+        for plan in [failure, straggler, domain, member] {
+            let mut os =
+                ProxyCl::new(&Platform::test_tiny(), Mode::Optimized).with_faults(plan.clone());
+            let (batch, _, _) = two_scaled(&mut os);
+            assert!(
+                matches!(os.enqueue_concurrent(batch), Err(ClError::InvalidArgs(_))),
+                "{plan:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn domain_failure_delays_but_loses_nothing() {
+        let mut plain = ProxyCl::new(&Platform::test_tiny(), Mode::Optimized);
+        let (batch, _, _) = two_scaled(&mut plain);
+        let end = |events: &[Event]| events.iter().map(|e| e.end).max().unwrap();
+        let clean_end = end(&plain.enqueue_concurrent(batch).unwrap());
+        let clean_groups: Vec<usize> = plain
+            .last_report()
+            .unwrap()
+            .kernels
+            .iter()
+            .map(|k| k.groups_executed)
+            .collect();
+
+        for seed in 0..4 {
+            let spec = gpu_sim::FaultSpec {
+                domain_failures: 1,
+                domain_repair_delay: (seed % 2 == 0).then_some(50),
+                ..gpu_sim::FaultSpec::none(clean_end)
+            };
+            let plan = gpu_sim::FaultPlan::from_spec_with_domains(&spec, 2, 2, 2, seed);
+            let mut os = ProxyCl::new(&Platform::test_tiny(), Mode::Optimized).with_faults(plan);
+            let (batch, b1, b2) = two_scaled(&mut os);
+            let events = os.enqueue_concurrent(batch).unwrap();
+            assert_eq!(os.context_mut().read_f32(b1).unwrap(), vec![2.0; 64]);
+            assert_eq!(os.context_mut().read_f32(b2).unwrap(), vec![5.0; 64]);
+            assert!(
+                end(&events) >= clean_end,
+                "seed {seed}: a rack loss cannot help"
+            );
+            let report = os.last_report().unwrap();
+            assert_eq!(report.faults_injected, 1, "seed {seed}: the rack fails");
+            for (k, &groups) in report.kernels.iter().zip(&clean_groups) {
+                assert!(!k.aborted);
+                assert_eq!(k.groups_executed, groups, "seed {seed}: no group lost");
+                assert_eq!(k.groups_retried, k.chunks_lost, "seed {seed}: retried once");
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   rolled back and requeued so they re-execute *exactly once*, and the
 //!   workers themselves migrate to the surviving CUs' queue heads.
 //! * **Domain failure** — a whole [`FailureDomain`] (a rack or power
-//!   domain's worth of CUs, configured on the simulator) fails together
+//!   domain's worth of CUs, carried by the plan) fails together
 //!   and repairs together: every member CU takes the CU-failure path at
 //!   the same instant, in ascending CU order, sharing one repair time.
 //! * **Straggler** — every segment *started* on the CU during a time
@@ -39,11 +39,11 @@ use rand::{Rng, SeedableRng};
 /// A correlated-failure group of compute units — the CUs that share a
 /// rack, power feed, or cooling loop and therefore fail *together*.
 ///
-/// Domains are configured on the simulator
-/// ([`crate::Simulator::with_domains`]); a
-/// [`FaultKind::DomainFailure`] names one by index. Domains need not
-/// partition the device and may overlap, though the usual topology is a
-/// partition ([`FailureDomain::split_evenly`]).
+/// Domains travel with the fault plan that fails them
+/// ([`FaultPlan::domains`]); a [`FaultKind::DomainFailure`] names one
+/// by index. Domains need not partition the device and may overlap,
+/// though the usual topology is a partition
+/// ([`FailureDomain::split_evenly`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailureDomain {
     /// Human-readable label (rendered in traces and harness tables).
@@ -108,14 +108,14 @@ pub enum FaultKind {
         /// Absolute end of the slowdown window.
         until: u64,
     },
-    /// Every CU of a configured [`FailureDomain`] fails at once (rack
+    /// Every CU of one of the plan's [`FailureDomain`]s fails at once (rack
     /// power loss): each member takes the exact CU-failure path, in
     /// ascending CU order, and all members share one repair time. A
     /// permanent domain failure never takes the *last* surviving CU —
     /// the engine skips that member so capacity degrades without
     /// zeroing, mirroring the [`FaultPlan::from_spec`] draw guarantee.
     DomainFailure {
-        /// Index into the simulator's configured domain list.
+        /// Index into the plan's [`FaultPlan::domains`].
         domain: usize,
         /// Absolute repair time for every member, or `None` for a
         /// permanent loss of the whole domain.
@@ -211,14 +211,23 @@ impl FaultSpec {
 pub struct FaultPlan {
     /// The injections, in non-decreasing time order.
     pub events: Vec<FaultEvent>,
+    /// The correlated-failure topology the plan's
+    /// [`FaultKind::DomainFailure`] events index into: filled by the
+    /// domain-aware draw, empty otherwise. With no domain failure in
+    /// `events` it is inert — the run is bit-identical to an empty list.
+    pub domains: Vec<FailureDomain>,
 }
 
 impl FaultPlan {
     /// Plan from an explicit event list (sorted by time, stably, so
-    /// same-instant faults keep their authored order).
+    /// same-instant faults keep their authored order) with no failure
+    /// domains.
     pub fn new(mut events: Vec<FaultEvent>) -> Self {
         events.sort_by_key(|e| e.at);
-        FaultPlan { events }
+        FaultPlan {
+            events,
+            domains: Vec::new(),
+        }
     }
 
     /// Draw a plan from `spec` for a device with `num_cus` compute units
@@ -234,11 +243,14 @@ impl FaultPlan {
         Self::from_spec_with_domains(spec, num_cus, num_launches, 0, seed)
     }
 
-    /// [`FaultPlan::from_spec`] plus `spec.domain_failures` correlated
-    /// domain failures drawn over `num_domains` configured domains. The
-    /// domain draws come strictly *after* every independent draw, so a
-    /// `(spec, seed)` pair that drew a plan before domains existed still
-    /// draws the identical plan.
+    /// [`FaultPlan::from_spec`] on a device partitioned into
+    /// `num_domains` failure domains
+    /// ([`FailureDomain::split_evenly`], kept in [`FaultPlan::domains`];
+    /// none when `num_domains` is 0), plus `spec.domain_failures`
+    /// correlated domain failures drawn over them. The domain draws come
+    /// strictly *after* every independent draw, so a `(spec, seed)` pair
+    /// that drew a plan before domains existed still draws the identical
+    /// events.
     pub fn from_spec_with_domains(
         spec: &FaultSpec,
         num_cus: usize,
@@ -313,12 +325,47 @@ impl FaultPlan {
                 },
             });
         }
-        FaultPlan::new(events)
+        let mut plan = FaultPlan::new(events);
+        if num_domains > 0 {
+            plan.domains = FailureDomain::split_evenly(num_cus, num_domains);
+        }
+        plan
     }
 
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// Check the plan's device-side targets against a device of
+    /// `num_cus` compute units: every domain member and every CU-failure
+    /// or straggler target is a CU of the device, and every domain
+    /// failure names one of [`FaultPlan::domains`]. Kernel-abort targets
+    /// depend on the launch set and are left to its owner.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first out-of-range target.
+    pub fn check_targets(&self, num_cus: usize) -> Result<(), String> {
+        for d in &self.domains {
+            if let Some(cu) = d.cus.iter().find(|&&cu| cu >= num_cus) {
+                return Err(format!("failure domain `{}` names unknown CU {cu}", d.name));
+            }
+        }
+        for e in &self.events {
+            match e.kind {
+                FaultKind::CuFailure { cu, .. } | FaultKind::Straggler { cu, .. }
+                    if cu >= num_cus =>
+                {
+                    return Err(format!("fault targets unknown CU {cu}"));
+                }
+                FaultKind::DomainFailure { domain, .. } if domain >= self.domains.len() => {
+                    return Err(format!("fault targets unknown failure domain {domain}"));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
     }
 }
 
@@ -362,8 +409,12 @@ mod tests {
             domain_repair_delay: Some(9_000),
         };
         let old = FaultPlan::from_spec(&spec, 13, 4, 7);
-        // Domain-aware draw of a domain-free spec is the identity.
-        assert_eq!(old, FaultPlan::from_spec_with_domains(&spec, 13, 4, 4, 7));
+        assert!(old.domains.is_empty(), "the plain draw knows no domains");
+        // Domain-aware draw of a domain-free spec draws the same events
+        // and carries the partition.
+        let partitioned = FaultPlan::from_spec_with_domains(&spec, 13, 4, 4, 7);
+        assert_eq!(old.events, partitioned.events);
+        assert_eq!(partitioned.domains, FailureDomain::split_evenly(13, 4));
         spec.domain_failures = 2;
         let with = FaultPlan::from_spec_with_domains(&spec, 13, 4, 4, 7);
         assert_eq!(with, FaultPlan::from_spec_with_domains(&spec, 13, 4, 4, 7));
@@ -381,11 +432,9 @@ mod tests {
             .collect();
         assert_eq!(domains.len(), 2);
         // The independent draws are untouched by the appended ones.
-        let mut independent = with.clone();
-        independent
-            .events
-            .retain(|e| !matches!(e.kind, FaultKind::DomainFailure { .. }));
-        assert_eq!(independent, old);
+        let mut independent = with.events.clone();
+        independent.retain(|e| !matches!(e.kind, FaultKind::DomainFailure { .. }));
+        assert_eq!(independent, old.events);
         // No domains configured: the domain count draws nothing.
         assert_eq!(FaultPlan::from_spec_with_domains(&spec, 13, 4, 0, 7), old);
     }
@@ -426,6 +475,40 @@ mod tests {
             }
         }
         assert!(dead.len() < 2, "one of two CUs must survive: {dead:?}");
+    }
+
+    #[test]
+    fn check_targets_names_the_first_out_of_range_target() {
+        let cu = |cu| FaultEvent {
+            at: 0,
+            kind: FaultKind::CuFailure {
+                cu,
+                repair_at: None,
+            },
+        };
+        let domain = FaultEvent {
+            at: 0,
+            kind: FaultKind::DomainFailure {
+                domain: 1,
+                repair_at: None,
+            },
+        };
+        assert_eq!(FaultPlan::new(vec![cu(3)]).check_targets(4), Ok(()));
+        assert_eq!(
+            FaultPlan::new(vec![cu(4)]).check_targets(4),
+            Err("fault targets unknown CU 4".into())
+        );
+        let mut plan = FaultPlan::new(vec![domain]);
+        assert_eq!(
+            plan.check_targets(4),
+            Err("fault targets unknown failure domain 1".into())
+        );
+        plan.domains = FailureDomain::split_evenly(4, 2);
+        assert_eq!(plan.check_targets(4), Ok(()));
+        assert_eq!(
+            plan.check_targets(3),
+            Err("failure domain `rack1` names unknown CU 3".into())
+        );
     }
 
     #[test]

@@ -84,8 +84,7 @@ pub struct Simulator {
     launches: Vec<KernelLaunch>,
     reclaims: Vec<ReclaimCmd>,
     resumes: Vec<ResumeCmd>,
-    faults: Vec<FaultEvent>,
-    domains: Vec<FailureDomain>,
+    faults: FaultPlan,
     collect_trace: bool,
     linear_placement: bool,
     health_blind: bool,
@@ -336,8 +335,7 @@ impl Simulator {
             launches: Vec::new(),
             reclaims: Vec::new(),
             resumes: Vec::new(),
-            faults: Vec::new(),
-            domains: Vec::new(),
+            faults: FaultPlan::default(),
             collect_trace: false,
             linear_placement: false,
             health_blind: false,
@@ -347,15 +345,6 @@ impl Simulator {
     /// Enable timeline collection (off by default; traces can be large).
     pub fn with_trace(mut self) -> Self {
         self.collect_trace = true;
-        self
-    }
-
-    /// Configure the device's correlated-failure topology: the domain
-    /// list a [`crate::FaultKind::DomainFailure`] indexes into. With no
-    /// domain faults scheduled the configuration is inert — runs stay
-    /// bit-identical to a domain-free simulator.
-    pub fn with_domains(mut self, domains: Vec<FailureDomain>) -> Self {
-        self.domains = domains;
         self
     }
 
@@ -453,13 +442,18 @@ impl Simulator {
     /// simulation starts, so faults may be added before their target
     /// launches.
     pub fn add_fault(&mut self, fault: FaultEvent) {
-        self.faults.push(fault);
+        self.faults.events.push(fault);
     }
 
-    /// Schedule every injection of `plan`. An empty plan leaves the run
-    /// bit-identical to a simulator that never heard of faults.
+    /// Schedule every injection of `plan` and take its failure domains
+    /// ([`FaultPlan::domains`], what a
+    /// [`crate::FaultKind::DomainFailure`] indexes into; they replace any
+    /// earlier plan's). An empty plan leaves the run bit-identical to a
+    /// simulator that never heard of faults, and domains with no domain
+    /// failure scheduled are inert.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults.extend(plan.events);
+        self.faults.events.extend(plan.events);
+        self.faults.domains = plan.domains;
         self
     }
 
@@ -478,7 +472,6 @@ impl Simulator {
             self.reclaims,
             self.resumes,
             self.faults,
-            self.domains,
             self.collect_trace,
             self.linear_placement,
             self.health_blind,
@@ -506,7 +499,7 @@ struct Engine {
     retired: Vec<bool>,
     /// Launches killed by an injected [`FaultKind::KernelAbort`].
     aborted: Vec<bool>,
-    /// Correlated-failure topology ([`Simulator::with_domains`]); a
+    /// Correlated-failure topology ([`FaultPlan::domains`]); a
     /// [`FaultKind::DomainFailure`] fails every member CU together.
     domains: Vec<FailureDomain>,
     /// Per-CU health memory: the CU is *suspect* (deprioritized by
@@ -578,34 +571,24 @@ impl Engine {
         launches: Vec<KernelLaunch>,
         reclaims: Vec<ReclaimCmd>,
         resumes: Vec<ResumeCmd>,
-        faults: Vec<FaultEvent>,
-        domains: Vec<FailureDomain>,
+        faults: FaultPlan,
         collect_trace: bool,
         linear_placement: bool,
         health_blind: bool,
     ) -> Self {
-        for d in &domains {
-            for &cu in &d.cus {
-                assert!(
-                    cu < config.num_cus,
-                    "failure domain `{}` names unknown CU {cu}",
-                    d.name
-                );
-            }
+        if let Err(e) = faults.check_targets(config.num_cus) {
+            panic!("{e}");
         }
+        let FaultPlan {
+            events: faults,
+            domains,
+        } = faults;
         for f in &faults {
-            match f.kind {
-                FaultKind::CuFailure { cu, .. } | FaultKind::Straggler { cu, .. } => {
-                    assert!(cu < config.num_cus, "fault targets unknown CU {cu}");
-                }
-                FaultKind::DomainFailure { domain, .. } => assert!(
-                    domain < domains.len(),
-                    "fault targets unknown failure domain {domain}"
-                ),
-                FaultKind::KernelAbort { launch } => assert!(
+            if let FaultKind::KernelAbort { launch } = f.kind {
+                assert!(
                     (launch.0 as usize) < launches.len(),
                     "fault targets unknown launch {launch:?}"
-                ),
+                );
             }
         }
         for r in &reclaims {
@@ -2718,17 +2701,18 @@ mod tests {
         let domains = FailureDomain::split_evenly(13, 4);
         let members = domains[0].cus.clone();
         let run = |correlated: bool| {
-            let mut sim = Simulator::new(DeviceConfig::k20m())
-                .with_trace()
-                .with_domains(FailureDomain::split_evenly(13, 4));
+            let mut sim = Simulator::new(DeviceConfig::k20m()).with_trace();
             let id = sim.add_launch(dyn_launch("batch", 13, 400, 200));
             if correlated {
-                sim.add_fault(FaultEvent {
-                    at: 2_000,
-                    kind: FaultKind::DomainFailure {
-                        domain: 0,
-                        repair_at: Some(6_000),
-                    },
+                sim = sim.with_faults(FaultPlan {
+                    events: vec![FaultEvent {
+                        at: 2_000,
+                        kind: FaultKind::DomainFailure {
+                            domain: 0,
+                            repair_at: Some(6_000),
+                        },
+                    }],
+                    domains: domains.clone(),
                 });
             } else {
                 for &cu in &members {
@@ -2764,19 +2748,23 @@ mod tests {
         // engine must leave one CU alive (capacity degrades, never
         // zeroes), so the launch still completes.
         use crate::fault::FailureDomain;
-        let mut sim = Simulator::new(DeviceConfig::test_tiny()).with_domains(vec![FailureDomain {
-            name: "all".into(),
-            cus: vec![0, 1],
-        }]);
+        let mut sim = Simulator::new(DeviceConfig::test_tiny());
         let id = sim.add_launch(dyn_launch("batch", 4, 100, 50));
-        sim.add_fault(FaultEvent {
-            at: 500,
-            kind: FaultKind::DomainFailure {
-                domain: 0,
-                repair_at: None,
-            },
-        });
-        let r = sim.run();
+        let r = sim
+            .with_faults(FaultPlan {
+                events: vec![FaultEvent {
+                    at: 500,
+                    kind: FaultKind::DomainFailure {
+                        domain: 0,
+                        repair_at: None,
+                    },
+                }],
+                domains: vec![FailureDomain {
+                    name: "all".into(),
+                    cus: vec![0, 1],
+                }],
+            })
+            .run();
         let k = r.kernel(id);
         assert_eq!(k.groups_executed, 100, "the survivor drains the queue");
         assert_eq!(k.groups_retried, k.chunks_lost);
@@ -2790,19 +2778,19 @@ mod tests {
         use crate::fault::FailureDomain;
         let run = |with_domains: bool| {
             let mut sim = Simulator::new(DeviceConfig::test_tiny()).with_trace();
-            if with_domains {
-                sim = sim.with_domains(FailureDomain::split_evenly(2, 2));
-            }
             sim.add_launch(dyn_launch("a", 2, 60, 40));
             sim.add_launch(hw_launch("b", 4, 120));
-            sim.add_fault(FaultEvent {
+            let mut plan = FaultPlan::new(vec![FaultEvent {
                 at: 900,
                 kind: FaultKind::CuFailure {
                     cu: 0,
                     repair_at: Some(2_500),
                 },
-            });
-            sim.run()
+            }]);
+            if with_domains {
+                plan.domains = FailureDomain::split_evenly(2, 2);
+            }
+            sim.with_faults(plan).run()
         };
         assert_eq!(run(false), run(true));
     }

@@ -21,11 +21,8 @@
 
 use crate::experiments::priority_workload;
 use crate::runner::Runner;
-use accelos::policy::{FaultSchedule, PolicySet};
-use gpu_sim::{
-    DeviceConfig, FailureDomain, FaultPlan, FaultSpec, KernelLaunch, SimReport, Simulator,
-    TraceKind,
-};
+use accelos::policy::PolicySet;
+use gpu_sim::{DeviceConfig, FaultPlan, FaultSpec, KernelLaunch, SimReport, Simulator, TraceKind};
 
 /// How many failure domains the chaos sweep partitions the device into.
 /// Four domains on the 13-CU K20m preset makes the largest domain 4 CUs
@@ -122,8 +119,6 @@ pub struct ChaosPolicyRow {
 pub struct ChaosScenario {
     /// Fault-draw horizon (cycles) shared by every cell.
     pub horizon: u64,
-    /// The failure-domain partition used ([`CHAOS_DOMAINS`] domains).
-    pub domains: Vec<FailureDomain>,
     /// One row per policy of the swept set.
     pub rows: Vec<ChaosPolicyRow>,
 }
@@ -186,13 +181,13 @@ pub fn chaos_soak(runner: &Runner, set: &PolicySet, grid: &ChaosGrid, seed: u64)
     let arrivals: Vec<u64> = vec![t_batch / 4, 0, 0];
     let ctx = runner.rep_context(&workload, seed);
     let horizon = runner
-        .preemptive_report(&ctx, &accelos, &arrivals)
+        .preemptive_report(&ctx, &accelos, &arrivals, &FaultPlan::default())
         .total_time()
         .max(1);
     let num_cus = runner.device().num_cus;
-    let domains = FailureDomain::split_evenly(num_cus, CHAOS_DOMAINS);
 
-    // One seeded plan per cell, shared by every policy's row.
+    // One seeded plan per cell, shared by every policy's row; each
+    // carries the same `CHAOS_DOMAINS`-way partition of the device.
     let cells = grid.cells();
     let plans: Vec<FaultPlan> = cells
         .iter()
@@ -226,23 +221,18 @@ pub fn chaos_soak(runner: &Runner, set: &PolicySet, grid: &ChaosGrid, seed: u64)
         .iter()
         .map(|policy| {
             let clean = runner
-                .preemptive_report(&ctx, policy.as_ref(), &arrivals)
+                .preemptive_report(&ctx, policy.as_ref(), &arrivals, &FaultPlan::default())
                 .total_time()
                 .max(1);
             let cells = cells
                 .iter()
                 .zip(&plans)
                 .map(|(&(ind, cor, ab), plan)| {
-                    let projected = FaultSchedule::from_fault_plan_with_domains(plan, &domains);
-                    let (launches, reclaims, resumes) = runner.launches_preemptive_with_schedule(
-                        &ctx,
-                        policy.as_ref(),
-                        &arrivals,
-                        &projected,
-                    );
-                    let mut sim = Simulator::new(runner.device().clone())
-                        .with_trace()
-                        .with_domains(domains.clone());
+                    let (launches, reclaims, resumes) =
+                        runner.launches_preemptive(&ctx, policy.as_ref(), &arrivals, plan);
+                    // The soak's own simulator: the no-double-booking
+                    // check replays its trace.
+                    let mut sim = Simulator::new(runner.device().clone()).with_trace();
                     for l in launches.iter().cloned() {
                         sim.add_launch(l);
                     }
@@ -310,11 +300,7 @@ pub fn chaos_soak(runner: &Runner, set: &PolicySet, grid: &ChaosGrid, seed: u64)
             }
         })
         .collect();
-    ChaosScenario {
-        horizon,
-        domains,
-        rows,
-    }
+    ChaosScenario { horizon, rows }
 }
 
 /// Render the chaos sweep: one line per `(policy, fault mix)` cell, with
@@ -323,8 +309,7 @@ pub fn chaos_soak(runner: &Runner, set: &PolicySet, grid: &ChaosGrid, seed: u64)
 pub fn render_chaos(scenario: &ChaosScenario, device: &str) -> String {
     let mut s = format!(
         "Extension — chaos soak (independent × correlated × abort mixes over {} cycles, {} domains), {device}\n",
-        scenario.horizon,
-        scenario.domains.len()
+        scenario.horizon, CHAOS_DOMAINS
     );
     s += &format!(
         "  {:<17} {:>3} {:>3} {:>3} {:>9} {:>10} {:>8} {:>6} {:>8} {:>7} {:>9}\n",

@@ -1177,7 +1177,8 @@ pub fn priority_preemption(runner: &Runner, set: &PolicySet, seed: u64) -> Vec<P
     let ctx = runner.rep_context(&workload, seed);
     set.iter()
         .map(|policy| {
-            let report = runner.preemptive_report(&ctx, policy.as_ref(), &arrivals);
+            let report =
+                runner.preemptive_report(&ctx, policy.as_ref(), &arrivals, &FaultPlan::default());
             let batch: Vec<u64> = report.kernels[1..].iter().map(|k| k.turnaround()).collect();
             PreemptionRow {
                 policy: policy.label().to_string(),
@@ -1294,7 +1295,8 @@ pub fn deadline_scenario(runner: &Runner, set: &PolicySet, seed: u64) -> Deadlin
     let rows = set
         .iter()
         .map(|policy| {
-            let report = runner.preemptive_report(&ctx, policy.as_ref(), &arrivals);
+            let report =
+                runner.preemptive_report(&ctx, policy.as_ref(), &arrivals, &FaultPlan::default());
             DeadlineRow {
                 policy: policy.label().to_string(),
                 premium_end: report.kernels[0].end,
@@ -1458,7 +1460,7 @@ pub fn fault_scenario(runner: &Runner, set: &PolicySet, seed: u64) -> FaultScena
     let arrivals: Vec<u64> = vec![t_batch / 4, 0, 0];
     let ctx = runner.rep_context(&workload, seed);
     let horizon = runner
-        .preemptive_report(&ctx, &accelos, &arrivals)
+        .preemptive_report(&ctx, &accelos, &arrivals, &FaultPlan::default())
         .total_time()
         .max(1);
     let num_cus = runner.device().num_cus;
@@ -1485,14 +1487,14 @@ pub fn fault_scenario(runner: &Runner, set: &PolicySet, seed: u64) -> FaultScena
         .iter()
         .map(|policy| {
             let clean = runner
-                .preemptive_report(&ctx, policy.as_ref(), &arrivals)
+                .preemptive_report(&ctx, policy.as_ref(), &arrivals, &FaultPlan::default())
                 .total_time()
                 .max(1);
             let cells = FAULT_COUNTS
                 .iter()
                 .zip(&plans)
                 .map(|(&n, plan)| {
-                    let report = runner.faulty_report(&ctx, policy.as_ref(), &arrivals, plan);
+                    let report = runner.preemptive_report(&ctx, policy.as_ref(), &arrivals, plan);
                     let makespan = report.total_time();
                     let first_fault = plan.events.first().map(|e| e.at);
                     let lost: usize = report.kernels.iter().map(|k| k.chunks_lost).sum();

@@ -28,8 +28,8 @@ use accelos::policy::{plan_with_arrivals_and_faults, FaultSchedule, PlanCtx, Sch
 use accelos::resource::{ResourceDemand, ShareAllocation};
 use accelos::scheduler::{DecisionKind, ExecRequest, LaunchDecision};
 use gpu_sim::{
-    Costs, DeviceConfig, FailureDomain, FaultPlan, KernelLaunch, LaunchId, ReclaimCmd, ResumeCmd,
-    SimReport, Simulator, WorkGroupReq,
+    Costs, DeviceConfig, FaultPlan, KernelLaunch, LaunchId, ReclaimCmd, ResumeCmd, SimReport,
+    Simulator, WorkGroupReq,
 };
 use parboil::{KernelDb, KernelSpec};
 use sched_metrics::profile::ProfileStore;
@@ -403,47 +403,21 @@ impl Runner {
     /// the arrival planner can prune victims that drained before an
     /// arrival. Store-less runs are bit-identical to the
     /// pre-calibration planner.
+    ///
+    /// `faults` is rehearsed into the plan
+    /// ([`FaultSchedule::from_fault_plan`]): the policy's
+    /// [`SchedulingPolicy::on_fault`] hook pre-shrinks survivors for the
+    /// plan's permanent capacity losses — a domain failure as one
+    /// whole-domain loss over the plan's own partition — and kernel
+    /// aborts (transients are the simulator's business). An empty plan
+    /// (`&FaultPlan::default()`) is bit-identical to the fault-free
+    /// planner.
     pub fn launches_preemptive(
         &self,
         ctx: &RepContext<'_>,
         policy: &dyn SchedulingPolicy,
         arrivals: &[u64],
-    ) -> (Vec<KernelLaunch>, Vec<ReclaimCmd>, Vec<ResumeCmd>) {
-        self.launches_preemptive_with_faults(ctx, policy, arrivals, &FaultPlan::default())
-    }
-
-    /// [`Runner::launches_preemptive`] with an injected [`FaultPlan`]
-    /// rehearsed into the plan: the policy's
-    /// [`SchedulingPolicy::on_fault`] hook pre-shrinks survivors for the
-    /// plan's permanent capacity losses and kernel aborts (transients are
-    /// the simulator's business). An empty plan is bit-identical to the
-    /// fault-free planner.
-    pub fn launches_preemptive_with_faults(
-        &self,
-        ctx: &RepContext<'_>,
-        policy: &dyn SchedulingPolicy,
-        arrivals: &[u64],
         faults: &FaultPlan,
-    ) -> (Vec<KernelLaunch>, Vec<ReclaimCmd>, Vec<ResumeCmd>) {
-        self.launches_preemptive_with_schedule(
-            ctx,
-            policy,
-            arrivals,
-            &FaultSchedule::from_fault_plan(faults),
-        )
-    }
-
-    /// [`Runner::launches_preemptive_with_faults`] with the fault plan
-    /// already projected onto the policy plane — the domain-aware path
-    /// ([`Runner::faulty_report_with_domains`]) projects with the device
-    /// partition attached so correlated losses reach
-    /// [`SchedulingPolicy::on_fault`] as whole-domain capacity events.
-    pub fn launches_preemptive_with_schedule(
-        &self,
-        ctx: &RepContext<'_>,
-        policy: &dyn SchedulingPolicy,
-        arrivals: &[u64],
-        projected: &FaultSchedule,
     ) -> (Vec<KernelLaunch>, Vec<ReclaimCmd>, Vec<ResumeCmd>) {
         assert_eq!(ctx.kernels.len(), arrivals.len(), "one arrival per kernel");
         let requests = ctx.exec_requests(policy.chunk_mode());
@@ -478,8 +452,13 @@ impl Runner {
         if !estimates.is_empty() {
             plan_ctx = plan_ctx.with_estimates(&estimates);
         }
-        let schedule =
-            plan_with_arrivals_and_faults(policy, &plan_ctx, &requests, arrivals, projected);
+        let schedule = plan_with_arrivals_and_faults(
+            policy,
+            &plan_ctx,
+            &requests,
+            arrivals,
+            &FaultSchedule::from_fault_plan(faults),
+        );
         let sigs = sign(policy, &plan_ctx, &requests, &schedule.decisions);
         let launches = self.build_launches(ctx, &schedule.decisions, &sigs, arrivals);
         let reclaims = schedule
@@ -531,32 +510,16 @@ impl Runner {
             .collect()
     }
 
-    fn simulate(&self, launches: Vec<KernelLaunch>) -> SimReport {
-        self.simulate_with(launches, Vec::new(), Vec::new(), FaultPlan::default())
-    }
-
-    fn simulate_with(
+    /// Simulate `launches` on the runner's device with the timed
+    /// commands applied and `faults` injected.
+    fn simulate(
         &self,
         launches: Vec<KernelLaunch>,
         reclaims: Vec<ReclaimCmd>,
         resumes: Vec<ResumeCmd>,
-        faults: FaultPlan,
-    ) -> SimReport {
-        self.simulate_full(launches, reclaims, resumes, faults, &[])
-    }
-
-    fn simulate_full(
-        &self,
-        launches: Vec<KernelLaunch>,
-        reclaims: Vec<ReclaimCmd>,
-        resumes: Vec<ResumeCmd>,
-        faults: FaultPlan,
-        domains: &[FailureDomain],
+        faults: &FaultPlan,
     ) -> SimReport {
         let mut sim = Simulator::new(self.device.clone());
-        if !domains.is_empty() {
-            sim = sim.with_domains(domains.to_vec());
-        }
         for l in launches {
             sim.add_launch(l);
         }
@@ -566,7 +529,7 @@ impl Runner {
         for r in resumes {
             sim.add_resume(r);
         }
-        sim.with_faults(faults).run()
+        sim.with_faults(faults.clone()).run()
     }
 
     /// Isolated execution time of one kernel under `policy`. Cached by
@@ -607,7 +570,8 @@ impl Runner {
             {
                 self.isolated.lock().expect(ISOLATED_LOCK).simulations += 1;
             }
-            let report = self.simulate(self.build_launches(&solo, &decisions, &sigs, &[0]));
+            let launches = self.build_launches(&solo, &decisions, &sigs, &[0]);
+            let report = self.simulate(launches, Vec::new(), Vec::new(), &FaultPlan::default());
             report.total_time().max(1)
         });
         let mut cache = self.isolated.lock().expect(ISOLATED_LOCK);
@@ -631,28 +595,6 @@ impl Runner {
         self.run_in(&ctx, policy, &vec![0; workload.len()])
     }
 
-    /// Run one workload with *staggered* arrivals — tenants joining (and
-    /// leaving, as they finish) a shared node dynamically, the scenario §9
-    /// says static code-merging approaches cannot handle.
-    ///
-    /// Shares are planned against the whole tenancy (the steady state an
-    /// iterative application converges to); the simulator's elastic growth
-    /// covers the join/leave transients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workload` is empty or the lengths differ.
-    pub fn run_workload_with_arrivals(
-        &self,
-        policy: &dyn SchedulingPolicy,
-        workload: &[&'static KernelSpec],
-        arrivals: &[u64],
-        seed: u64,
-    ) -> WorkloadRun {
-        let ctx = self.rep_context(workload, seed);
-        self.run_in(&ctx, policy, arrivals)
-    }
-
     /// Run one policy against an open [`RepContext`] session. The sweep
     /// calls this once per policy of a repetition, sharing the session's
     /// cost draw and share caches across all of them.
@@ -666,72 +608,38 @@ impl Runner {
         policy: &dyn SchedulingPolicy,
         arrivals: &[u64],
     ) -> WorkloadRun {
-        let report = self.simulate(self.launches_in(ctx, policy, arrivals));
+        let launches = self.launches_in(ctx, policy, arrivals);
+        let report = self.simulate(launches, Vec::new(), Vec::new(), &FaultPlan::default());
         self.finish_run(ctx, policy, &report)
     }
 
     /// Raw simulator report of a **preemptive** (cohort-planned) run:
     /// launches from [`Runner::launches_preemptive`] co-executing with its
-    /// reclaim commands applied. Use this when the preemption bookkeeping
-    /// matters (`KernelReport::preemptions` / `reclaimed_workers` /
-    /// `groups_executed`); [`Runner::run_preemptive`] wraps it into the
-    /// usual metrics.
+    /// reclaim and resume commands applied and `faults` injected into the
+    /// machine simulation (its failure domains included). Use this when
+    /// the preemption or recovery bookkeeping matters
+    /// (`KernelReport::preemptions` / `reclaimed_workers` /
+    /// `groups_executed` / `chunks_lost`); [`Runner::run_preemptive`]
+    /// wraps a fault-free one into the usual metrics. With an empty plan
+    /// (`&FaultPlan::default()`) the run is fault-free.
     pub fn preemptive_report(
         &self,
         ctx: &RepContext<'_>,
         policy: &dyn SchedulingPolicy,
         arrivals: &[u64],
-    ) -> SimReport {
-        let (launches, reclaims, resumes) = self.launches_preemptive(ctx, policy, arrivals);
-        self.simulate_with(launches, reclaims, resumes, FaultPlan::default())
-    }
-
-    /// Raw simulator report of a **faulty** cohort-planned run: the
-    /// [`FaultPlan`] is rehearsed into the plan (policy-visible capacity
-    /// losses and aborts drive [`SchedulingPolicy::on_fault`]) *and*
-    /// injected into the machine simulation. With an empty plan this is
-    /// bit-identical to [`Runner::preemptive_report`].
-    pub fn faulty_report(
-        &self,
-        ctx: &RepContext<'_>,
-        policy: &dyn SchedulingPolicy,
-        arrivals: &[u64],
         faults: &FaultPlan,
     ) -> SimReport {
-        let (launches, reclaims, resumes) =
-            self.launches_preemptive_with_faults(ctx, policy, arrivals, faults);
-        self.simulate_with(launches, reclaims, resumes, faults.clone())
-    }
-
-    /// [`Runner::faulty_report`] on a **partitioned** device: the
-    /// [`FailureDomain`] partition is attached to the machine simulation
-    /// (so [`gpu_sim::FaultKind::DomainFailure`] events resolve to
-    /// correlated member failures) *and* to the policy projection (so a
-    /// permanent domain loss reaches [`SchedulingPolicy::on_fault`] as
-    /// one whole-domain capacity event rather than being dropped). With
-    /// no domains and no domain faults this is bit-identical to
-    /// [`Runner::faulty_report`].
-    pub fn faulty_report_with_domains(
-        &self,
-        ctx: &RepContext<'_>,
-        policy: &dyn SchedulingPolicy,
-        arrivals: &[u64],
-        faults: &FaultPlan,
-        domains: &[FailureDomain],
-    ) -> SimReport {
-        let projected = FaultSchedule::from_fault_plan_with_domains(faults, domains);
-        let (launches, reclaims, resumes) =
-            self.launches_preemptive_with_schedule(ctx, policy, arrivals, &projected);
-        self.simulate_full(launches, reclaims, resumes, faults.clone(), domains)
+        let (launches, reclaims, resumes) = self.launches_preemptive(ctx, policy, arrivals, faults);
+        self.simulate(launches, reclaims, resumes, faults)
     }
 
     /// Run one staggered workload through the policy's arrival hooks
     /// (cohort planning + mid-flight reclamation). With all-equal
     /// arrivals this is bit-identical to [`Runner::run_in`]; with
-    /// staggered arrivals it is the *realistic* transient — unlike
-    /// [`Runner::run_workload_with_arrivals`], the first cohort is planned
-    /// without clairvoyance about who joins later, and preemptive
-    /// policies take workers back when premium tenants arrive.
+    /// staggered arrivals it is the *realistic* transient — the first
+    /// cohort is planned without clairvoyance about who joins later, and
+    /// preemptive policies take workers back when premium tenants
+    /// arrive.
     ///
     /// # Panics
     ///
@@ -742,7 +650,7 @@ impl Runner {
         policy: &dyn SchedulingPolicy,
         arrivals: &[u64],
     ) -> WorkloadRun {
-        let report = self.preemptive_report(ctx, policy, arrivals);
+        let report = self.preemptive_report(ctx, policy, arrivals, &FaultPlan::default());
         self.finish_run(ctx, policy, &report)
     }
 
@@ -929,8 +837,13 @@ mod tests {
         let t_batch = r.isolated_time(&accelos, wl[1], 21);
         let arrivals = [t_batch / 4, 0, 0];
         let ctx = r.rep_context(&wl, 21);
-        let queueing = r.preemptive_report(&ctx, &accelos, &arrivals);
-        let preempting = r.preemptive_report(&ctx, &PriorityPolicy::default(), &arrivals);
+        let queueing = r.preemptive_report(&ctx, &accelos, &arrivals, &FaultPlan::default());
+        let preempting = r.preemptive_report(
+            &ctx,
+            &PriorityPolicy::default(),
+            &arrivals,
+            &FaultPlan::default(),
+        );
         let t_queue = queueing.kernels[0].turnaround();
         let t_preempt = preempting.kernels[0].turnaround();
         assert!(
@@ -943,8 +856,13 @@ mod tests {
             .all(|k| k.preemptions == 1 && k.reclaimed_workers > 0));
         assert_eq!(queueing.kernels[0].preemptions, 0);
         for (k, launch) in preempting.kernels.iter().zip(
-            r.launches_preemptive(&ctx, &PriorityPolicy::default(), &arrivals)
-                .0,
+            r.launches_preemptive(
+                &ctx,
+                &PriorityPolicy::default(),
+                &arrivals,
+                &FaultPlan::default(),
+            )
+            .0,
         ) {
             assert_eq!(k.groups_executed as u64, launch.plan.total_groups());
         }

@@ -218,7 +218,7 @@ pub fn uses_barrier(func: &Function, module: &Module) -> bool {
 /// *global* (or constant) memory.
 ///
 /// This is the gate for cross-work-group parallel interpretation
-/// ([`crate::interp::Interpreter::run_kernel_parallel`]): work groups never
+/// ([`crate::interp::Interpreter::run_kernel_parallel_sched`]): work groups never
 /// share `local` or `private` arenas, so local-space atomics are safe under
 /// group-level parallelism, while global-memory atomics introduce
 /// cross-group ordering the sequential interpreter resolves by running
@@ -339,11 +339,6 @@ impl ModuleFacts {
     /// Cached race report for kernel `name`.
     pub fn race_report(&self, name: &str) -> Option<&crate::races::KernelRaceReport> {
         self.races.get(name)
-    }
-
-    /// All cached race reports, keyed by kernel name.
-    pub fn race_reports(&self) -> &BTreeMap<String, crate::races::KernelRaceReport> {
-        &self.races
     }
 }
 

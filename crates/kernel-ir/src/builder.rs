@@ -103,11 +103,6 @@ impl FunctionBuilder {
         self.current = block;
     }
 
-    /// The block instructions are currently appended to.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// Type of an already-created value.
     pub fn type_of(&self, v: ValueId) -> &Type {
         self.func.value_type(v)

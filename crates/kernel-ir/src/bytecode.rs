@@ -2,8 +2,8 @@
 //!
 //! A compile-and-execute tier for the functional plane: kernel functions are
 //! lowered once per launch into a dense register bytecode (flat instruction
-//! array, resolved branch targets, pre-computed frame sizes), optionally run
-//! through a launch-specialising optimizer, and executed by a flat-dispatch
+//! array, resolved branch targets, pre-computed frame sizes), run through a
+//! launch-specialising optimizer, and executed by a flat-dispatch
 //! VM that shares the NDRange group loop — and therefore the flat group
 //! order and both [`ParSchedule`] work
 //! distributions — with the tree-walking interpreter.
@@ -18,7 +18,7 @@
 //!    calls their resolved callee index, and static local allocas their
 //!    pre-planned arena offset — the per-dispatch lookups the tree-walker
 //!    pays on every execution.
-//! 2. **Optimization** (`optimize`, the `BytecodeOpt` tier) — a
+//! 2. **Optimization** (`optimize`) — a
 //!    once-per-launch pipeline of constant folding over the concrete launch
 //!    (scalar *and* pointer arguments are known values at launch time,
 //!    launch-uniform work-item builtins are constants of the NDRange),
@@ -47,9 +47,9 @@
 //!
 //! ## Identity contract
 //!
-//! For every verified module and launch, all three tiers produce the same
+//! For every verified module and launch, both tiers produce the same
 //! `DeviceMemory` bytes, the same `DynStats` (every counter, including the
-//! per-group instruction histogram) and the same `Result`. The optimized
+//! per-group instruction histogram) and the same `Result`. The bytecode
 //! tier additionally assumes the module is *well-typed* (verifier-clean):
 //! dead code it eliminates can no longer raise type-confusion
 //! `InterpError::Invalid` errors that the tree-walker would only hit when
@@ -76,22 +76,20 @@ use crate::types::{AddressSpace, Type};
 pub enum ExecTier {
     /// The original tree-walking interpreter.
     TreeWalk,
-    /// Dense register bytecode, lowered per launch but not optimized.
-    Bytecode,
-    /// Bytecode plus the launch-specialising optimization pipeline
-    /// (constant folding, invariant hoisting into the per-launch preamble,
-    /// dead-code elimination).
+    /// Dense register bytecode, lowered per launch and run through the
+    /// launch-specialising optimization pipeline (constant folding,
+    /// invariant hoisting into the per-launch preamble, dead-code
+    /// elimination).
     BytecodeOpt,
 }
 
 impl ExecTier {
     /// Tier selected by the `ACCELOS_EXEC_TIER` environment variable:
-    /// `tree`, `bytecode` or `bytecode-opt`. Unset (and unrecognised)
-    /// values select [`ExecTier::BytecodeOpt`].
+    /// `tree` selects [`ExecTier::TreeWalk`]; unset (and any other
+    /// value) selects [`ExecTier::BytecodeOpt`].
     pub fn from_env() -> Self {
         match std::env::var("ACCELOS_EXEC_TIER").ok().as_deref() {
             Some("tree") => ExecTier::TreeWalk,
-            Some("bytecode") => ExecTier::Bytecode,
             _ => ExecTier::BytecodeOpt,
         }
     }
@@ -1496,9 +1494,7 @@ impl<'m> Interpreter<'m> {
         let setup = self.plan(mem, kernel, ndrange, args)?;
         let prog = match lower(self.module, &setup) {
             Ok(mut bc) => {
-                if self.tier == ExecTier::BytecodeOpt {
-                    optimize(&mut bc, ndrange);
-                }
+                optimize(&mut bc, ndrange);
                 layout(&bc)
             }
             Err(_) => {
@@ -1650,11 +1646,8 @@ mod tests {
         ];
         let data: Vec<f32> = (0..23).map(|i| i as f32 * 0.5).collect();
         let (tree_mem, tree_stats) = run_tier(&m, ExecTier::TreeWalk, nd, &args, &data);
-        let (bc_mem, bc_stats) = run_tier(&m, ExecTier::Bytecode, nd, &args, &data);
         let (opt_mem, opt_stats) = run_tier(&m, ExecTier::BytecodeOpt, nd, &args, &data);
-        assert_eq!(tree_mem, bc_mem);
         assert_eq!(tree_mem, opt_mem);
-        assert_eq!(tree_stats, bc_stats);
         assert_eq!(tree_stats, opt_stats, "weight preservation broke DynStats");
     }
 
@@ -1758,11 +1751,7 @@ mod tests {
     fn step_limit_parity_across_tiers() {
         let m = loop_kernel();
         let nd = NdRange::new_1d(4, 4);
-        for tier in [
-            ExecTier::TreeWalk,
-            ExecTier::Bytecode,
-            ExecTier::BytecodeOpt,
-        ] {
+        for tier in [ExecTier::TreeWalk, ExecTier::BytecodeOpt] {
             let mut mem = DeviceMemory::new();
             let x = mem.alloc(64 * 4);
             let y = mem.alloc(64 * 4);

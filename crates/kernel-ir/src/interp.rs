@@ -89,11 +89,6 @@ impl DeviceMemory {
         BufferId(self.buffers.len() as u32 - 1)
     }
 
-    /// Total bytes currently allocated.
-    pub fn total_bytes(&self) -> usize {
-        self.buffers.iter().map(AlignedBuf::len).sum()
-    }
-
     /// Raw bytes of a buffer.
     ///
     /// # Panics
@@ -865,11 +860,6 @@ impl<'m> Interpreter<'m> {
         }
     }
 
-    /// Replace the interpreter's configuration, keeping any analysis cache.
-    pub fn set_config(&mut self, config: InterpConfig) {
-        self.config = config;
-    }
-
     /// Execute `kernel` over `ndrange` with `args`, mutating `mem`.
     ///
     /// # Errors
@@ -986,24 +976,6 @@ impl<'m> Interpreter<'m> {
             ParSchedule::Static => self.run_groups_par(mem, &setup, ndrange, threads),
             ParSchedule::Stealing => self.run_groups_stealing(mem, &setup, ndrange, threads),
         }
-    }
-
-    /// [`run_kernel_parallel_with`](Self::run_kernel_parallel_with) using
-    /// the host's available parallelism (overridable via the
-    /// `ACCELOS_INTERP_THREADS` environment variable, or the process-wide
-    /// `ACCELOS_THREADS` shared with the harness's sweep pool).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run_kernel`](Self::run_kernel).
-    pub fn run_kernel_parallel(
-        &self,
-        mem: &mut DeviceMemory,
-        kernel: &str,
-        ndrange: NdRange,
-        args: &[ArgValue],
-    ) -> Result<DynStats, InterpError> {
-        self.run_kernel_parallel_with(mem, kernel, ndrange, args, default_interp_threads())
     }
 
     /// Whether `kernel` is statically eligible for cross-group parallel
@@ -2086,7 +2058,8 @@ where
     Ok(merged)
 }
 
-/// Worker threads for [`Interpreter::run_kernel_parallel`]:
+/// Default worker threads for parallel interpretation
+/// ([`Interpreter::run_kernel_tiered`]):
 /// `ACCELOS_INTERP_THREADS` if set, else the host-wide `ACCELOS_THREADS`
 /// override (shared with the harness's sweep pool), else the host's
 /// available parallelism.

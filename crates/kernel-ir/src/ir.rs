@@ -546,11 +546,6 @@ impl Module {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Find a function by name, mutably.
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
-        self.functions.iter_mut().find(|f| f.name == name)
-    }
-
     /// Names of all kernel entry points, in definition order.
     pub fn kernel_names(&self) -> Vec<&str> {
         self.functions

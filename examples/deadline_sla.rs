@@ -38,7 +38,7 @@ use accel_harness::runner::Runner;
 use accelos::policy::{DeadlinePolicy, PolicySet, SchedulingPolicy, SlaPolicy};
 use accelos::proxycl::{PendingExec, ProxyCl};
 use clrt::{Arg, Platform};
-use gpu_sim::{DeviceConfig, SimReport};
+use gpu_sim::{DeviceConfig, FaultPlan, SimReport};
 use kernel_ir::interp::NdRange;
 use sched_metrics::profile::ProfileStore;
 use std::sync::Arc;
@@ -195,8 +195,9 @@ fn main() {
     let arrivals = vec![sc.arrival, 0, 0];
     let ctx = runner.rep_context(&workload, SEED);
     let sla = SlaPolicy::new(&[4, 4, 0]);
-    let report = runner.preemptive_report(&ctx, &sla, &arrivals);
-    let (launches, _, resumes) = runner.launches_preemptive(&ctx, &sla, &arrivals);
+    let report = runner.preemptive_report(&ctx, &sla, &arrivals, &FaultPlan::default());
+    let (launches, _, resumes) =
+        runner.launches_preemptive(&ctx, &sla, &arrivals, &FaultPlan::default());
     println!(
         "\nSLA tiers under {} (floors: lbm 4, tpacf 0 = best-effort full pause):",
         sla.name()

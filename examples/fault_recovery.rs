@@ -40,7 +40,7 @@ fn main() {
     let ctx = runner.rep_context(&workload, SEED);
 
     // The control: the clean episode.
-    let clean = runner.preemptive_report(&ctx, &policy, &arrivals);
+    let clean = runner.preemptive_report(&ctx, &policy, &arrivals, &FaultPlan::default());
 
     // The experiment: one CU fails for good just after the premium
     // tenant arrives — the worst moment, the machine is fully committed.
@@ -52,8 +52,9 @@ fn main() {
             repair_at: None,
         },
     }]);
-    let faulty = runner.faulty_report(&ctx, &policy, &arrivals, &faults);
-    let (launches, _, _) = runner.launches_preemptive(&ctx, &policy, &arrivals);
+    let faulty = runner.preemptive_report(&ctx, &policy, &arrivals, &faults);
+    let (launches, _, _) =
+        runner.launches_preemptive(&ctx, &policy, &arrivals, &FaultPlan::default());
 
     println!(
         "episode on {} ({num_cus} CUs): batch tenants at t=0, premium at t={arrival}, \

@@ -18,7 +18,7 @@
 use accel_harness::experiments::priority_workload;
 use accel_harness::runner::Runner;
 use accelos::policy::{AccelOsPolicy, PriorityPolicy, SchedulingPolicy};
-use gpu_sim::DeviceConfig;
+use gpu_sim::{DeviceConfig, FaultPlan};
 
 /// Same episode (workload, arrival rule, seed) as `repro priority` and the
 /// golden snapshot in `tests/preemption_invariants.rs`, so numbers line up
@@ -45,8 +45,9 @@ fn main() {
     // Same session (same calibrated cost draw) for both policies; the
     // cohort-planned preemptive path drives each policy's arrival hooks.
     let ctx = runner.rep_context(&workload, SEED);
-    let queue_report = runner.preemptive_report(&ctx, &queueing, &arrivals);
-    let preempt_report = runner.preemptive_report(&ctx, &preempting, &arrivals);
+    let queue_report = runner.preemptive_report(&ctx, &queueing, &arrivals, &FaultPlan::default());
+    let preempt_report =
+        runner.preemptive_report(&ctx, &preempting, &arrivals, &FaultPlan::default());
 
     println!("turnaround (cycles):");
     println!(
@@ -74,7 +75,8 @@ fn main() {
          {reclaimed} workers retired at chunk boundaries"
     );
     // Conservation: executed groups vs the launch plan's total.
-    let (launches, _, _) = runner.launches_preemptive(&ctx, &preempting, &arrivals);
+    let (launches, _, _) =
+        runner.launches_preemptive(&ctx, &preempting, &arrivals, &FaultPlan::default());
     for (i, (k, launch)) in preempt_report.kernels.iter().zip(&launches).enumerate() {
         assert_eq!(
             k.groups_executed as u64,

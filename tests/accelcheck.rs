@@ -29,7 +29,7 @@ use proptest::prelude::*;
 
 /// One differential run: static verdict + launch gate vs the dynamic
 /// oracle vs bit-level parallel/sequential comparison — with every leg
-/// repeated on the bytecode tier (raw and optimized).
+/// repeated on the bytecode tier.
 fn check_case(pattern: Pattern, c: i64, local: usize, groups: usize, alias: bool, threads: usize) {
     let module = build_kernel(pattern, c);
     let interp = Interpreter::new(&module);
@@ -83,32 +83,30 @@ fn check_case(pattern: Pattern, c: i64, local: usize, groups: usize, alias: bool
         );
     }
 
-    // Bytecode tier: raw and optimized, sequential and both parallel
-    // schedules, must all be bit-identical to the tree-walker — memory
-    // bytes AND every DynStats counter (the weight-preservation contract).
-    for tier in [ExecTier::Bytecode, ExecTier::BytecodeOpt] {
-        let mut bc = Interpreter::new(&module);
-        bc.set_exec_tier(tier);
-        for (sched, bc_threads) in [
-            (ParSchedule::Static, 1),
-            (ParSchedule::Static, threads),
-            (ParSchedule::Stealing, threads),
-        ] {
-            let mut bc_mem = mem.clone();
-            let bc_stats = bc
-                .run_kernel_bytecode(&mut bc_mem, "k", nd, &args, bc_threads, sched)
-                .expect("bytecode run succeeds");
-            assert_eq!(
-                seq_mem, bc_mem,
-                "{pattern:?} c={c} local={local} groups={groups} alias={alias} memory \
-                 diverged on {tier:?} ({sched:?} x{bc_threads}, eligible={eligible})"
-            );
-            assert_eq!(
-                seq_stats, bc_stats,
-                "{pattern:?} c={c} local={local} groups={groups} alias={alias} DynStats \
-                 diverged on {tier:?} ({sched:?} x{bc_threads}, eligible={eligible})"
-            );
-        }
+    // Bytecode tier: sequential and both parallel schedules must all be
+    // bit-identical to the tree-walker — memory bytes AND every DynStats
+    // counter (the weight-preservation contract).
+    let mut bc = Interpreter::new(&module);
+    bc.set_exec_tier(ExecTier::BytecodeOpt);
+    for (sched, bc_threads) in [
+        (ParSchedule::Static, 1),
+        (ParSchedule::Static, threads),
+        (ParSchedule::Stealing, threads),
+    ] {
+        let mut bc_mem = mem.clone();
+        let bc_stats = bc
+            .run_kernel_bytecode(&mut bc_mem, "k", nd, &args, bc_threads, sched)
+            .expect("bytecode run succeeds");
+        assert_eq!(
+            seq_mem, bc_mem,
+            "{pattern:?} c={c} local={local} groups={groups} alias={alias} memory \
+             diverged on bytecode ({sched:?} x{bc_threads}, eligible={eligible})"
+        );
+        assert_eq!(
+            seq_stats, bc_stats,
+            "{pattern:?} c={c} local={local} groups={groups} alias={alias} DynStats \
+             diverged on bytecode ({sched:?} x{bc_threads}, eligible={eligible})"
+        );
     }
 
     // The static verdict must agree with the gate's widening direction:

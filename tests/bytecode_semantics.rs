@@ -4,7 +4,7 @@
 //! launch geometry, scalar argument and buffer state,
 //!
 //! ```text
-//! tree-walker  ≡  raw bytecode  ≡  optimized bytecode
+//! tree-walker  ≡  (optimized) bytecode
 //! ```
 //!
 //! bit-for-bit in memory contents AND in every `DynStats` counter, across
@@ -20,9 +20,7 @@ use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange, ParSchedul
 use kernel_ir::testgen::{build_kernel, PATTERNS};
 use proptest::prelude::*;
 
-const TIERS: [ExecTier; 2] = [ExecTier::Bytecode, ExecTier::BytecodeOpt];
-
-/// Run `module`'s kernel `kernel` on every tier/schedule combination and
+/// Run `module`'s kernel `kernel` on the bytecode tier under every schedule and
 /// insist on bit-identity with the sequential tree-walker (memory and
 /// stats).
 fn assert_tiers_agree(
@@ -40,27 +38,25 @@ fn assert_tiers_agree(
         .run_kernel(&mut seq_mem, kernel, nd, args)
         .unwrap_or_else(|e| panic!("{what}: tree-walk run failed: {e}"));
 
-    for tier in TIERS {
-        let mut bc = Interpreter::new(module);
-        bc.set_exec_tier(tier);
-        for (sched, bc_threads) in [
-            (ParSchedule::Static, 1),
-            (ParSchedule::Static, threads),
-            (ParSchedule::Stealing, threads),
-        ] {
-            let mut bc_mem = mem.clone();
-            let bc_stats = bc
-                .run_kernel_bytecode(&mut bc_mem, kernel, nd, args, bc_threads, sched)
-                .unwrap_or_else(|e| panic!("{what}: {tier:?} run failed: {e}"));
-            assert_eq!(
-                seq_mem, bc_mem,
-                "{what}: memory diverged on {tier:?} ({sched:?} x{bc_threads})"
-            );
-            assert_eq!(
-                seq_stats, bc_stats,
-                "{what}: DynStats diverged on {tier:?} ({sched:?} x{bc_threads})"
-            );
-        }
+    let mut bc = Interpreter::new(module);
+    bc.set_exec_tier(ExecTier::BytecodeOpt);
+    for (sched, bc_threads) in [
+        (ParSchedule::Static, 1),
+        (ParSchedule::Static, threads),
+        (ParSchedule::Stealing, threads),
+    ] {
+        let mut bc_mem = mem.clone();
+        let bc_stats = bc
+            .run_kernel_bytecode(&mut bc_mem, kernel, nd, args, bc_threads, sched)
+            .unwrap_or_else(|e| panic!("{what}: bytecode run failed: {e}"));
+        assert_eq!(
+            seq_mem, bc_mem,
+            "{what}: memory diverged on bytecode ({sched:?} x{bc_threads})"
+        );
+        assert_eq!(
+            seq_stats, bc_stats,
+            "{what}: DynStats diverged on bytecode ({sched:?} x{bc_threads})"
+        );
     }
 }
 
@@ -114,8 +110,8 @@ fn check_generated(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
 
-    /// Optimized bytecode ≡ raw bytecode ≡ interpreter over the shared
-    /// kernel corpus with random geometry, scalar args and buffer fills.
+    /// Optimized bytecode ≡ interpreter over the shared kernel corpus
+    /// with random geometry, scalar args and buffer fills.
     /// `AtomicUnused`/`AtomicUsed` keep the atomics paths honest, and the
     /// parallel legs exercise the accelcheck gate on both sides.
     #[test]
@@ -351,13 +347,11 @@ fn traps_are_identical_across_tiers() {
         .run_kernel(&mut mem.clone(), "k", nd, &args)
         .expect_err("tree-walker must trap")
         .to_string();
-    for tier in TIERS {
-        let mut bc = Interpreter::new(&module);
-        bc.set_exec_tier(tier);
-        let bc_err = bc
-            .run_kernel_bytecode(&mut mem.clone(), "k", nd, &args, 1, ParSchedule::default())
-            .expect_err("bytecode tier must trap")
-            .to_string();
-        assert_eq!(tree_err, bc_err, "trap text diverged on {tier:?}");
-    }
+    let mut bc = Interpreter::new(&module);
+    bc.set_exec_tier(ExecTier::BytecodeOpt);
+    let bc_err = bc
+        .run_kernel_bytecode(&mut mem.clone(), "k", nd, &args, 1, ParSchedule::default())
+        .expect_err("bytecode tier must trap")
+        .to_string();
+    assert_eq!(tree_err, bc_err, "trap text diverged on bytecode");
 }

@@ -238,18 +238,9 @@ proptest! {
         };
         let run = || {
             let launches = random_launches(seed, &cfg);
-            let domains = FailureDomain::split_evenly(cfg.num_cus, 4);
-            let plan = FaultPlan::from_spec_with_domains(
-                &spec,
-                cfg.num_cus,
-                launches.len(),
-                domains.len(),
-                seed,
-            );
-            let sim = Simulator::new(cfg.clone())
-                .with_trace()
-                .with_domains(domains)
-                .with_faults(plan);
+            let plan =
+                FaultPlan::from_spec_with_domains(&spec, cfg.num_cus, launches.len(), 4, seed);
+            let sim = Simulator::new(cfg.clone()).with_trace().with_faults(plan);
             run_episode(sim, &launches, &[], &[])
         };
         let (a, b) = (run(), run());
@@ -277,9 +268,10 @@ proptest! {
             &launches, &reclaims, &resumes,
         );
         let domains = run_episode(
-            Simulator::new(cfg.clone())
-                .with_trace()
-                .with_domains(FailureDomain::split_evenly(cfg.num_cus, 2)),
+            Simulator::new(cfg.clone()).with_trace().with_faults(FaultPlan {
+                events: Vec::new(),
+                domains: FailureDomain::split_evenly(cfg.num_cus, 2),
+            }),
             &launches, &reclaims, &resumes,
         );
         let blind = run_episode(
@@ -330,7 +322,7 @@ fn health_aware_placement_recovers_faster_under_domain_loss() {
             max_workers: None,
         })
         .collect();
-    let plan = FaultPlan::new(vec![
+    let mut plan = FaultPlan::new(vec![
         FaultEvent {
             at: 400,
             kind: FaultKind::CuFailure {
@@ -354,10 +346,9 @@ fn health_aware_placement_recovers_faster_under_domain_loss() {
             },
         },
     ]);
+    plan.domains = FailureDomain::split_evenly(cfg.num_cus, 4);
     let recovery = |blind: bool| {
-        let mut sim = Simulator::new(cfg.clone())
-            .with_domains(FailureDomain::split_evenly(cfg.num_cus, 4))
-            .with_faults(plan.clone());
+        let mut sim = Simulator::new(cfg.clone()).with_faults(plan.clone());
         if blind {
             sim = sim.with_blind_health();
         }

@@ -2,7 +2,7 @@
 //!
 //! Two independent guarantees are asserted:
 //!
-//! 1. **Interpreter** — `run_kernel_parallel` produces byte-identical
+//! 1. **Interpreter** — `run_kernel_parallel_sched` produces byte-identical
 //!    `DeviceMemory` and identical `DynStats` to the sequential
 //!    interpreter across the bundled Parboil kernel set, auto-falling
 //!    back to sequential execution for kernels that use global-memory

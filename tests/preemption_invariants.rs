@@ -515,11 +515,17 @@ fn zero_premium_arrivals_are_bit_identical_to_accelos() {
             // so the preemptive hooks must stay inert, reclaim commands
             // included (none).
             let arrivals: Vec<u64> = (0..wl.len() as u64).map(|i| i * 2_500).collect();
-            let stag_ref = runner.preemptive_report(&ctx, &accelos, &arrivals);
+            let stag_ref =
+                runner.preemptive_report(&ctx, &accelos, &arrivals, &FaultPlan::default());
             for policy in preemptive_family() {
                 let one = runner.run_preemptive(&ctx, policy.as_ref(), &zeros);
                 assert_eq!(one, plain, "workload {wi}, seed {seed}, {}", policy.name());
-                let stag = runner.preemptive_report(&ctx, policy.as_ref(), &arrivals);
+                let stag = runner.preemptive_report(
+                    &ctx,
+                    policy.as_ref(),
+                    &arrivals,
+                    &FaultPlan::default(),
+                );
                 assert_eq!(
                     stag,
                     stag_ref,
@@ -532,7 +538,7 @@ fn zero_premium_arrivals_are_bit_identical_to_accelos() {
             // And a premium-count of zero stays inert even when later
             // cohorts *would* contain index 0 under a different count.
             let nobody = PriorityPolicy::new(0);
-            let a = runner.preemptive_report(&ctx, &nobody, &arrivals);
+            let a = runner.preemptive_report(&ctx, &nobody, &arrivals, &FaultPlan::default());
             assert_eq!(a, stag_ref, "workload {wi}, seed {seed} (premium count 0)");
         }
     }
@@ -567,7 +573,12 @@ fn mixed_priority_scenario_matches_golden_report() {
     let t_batch = runner.isolated_time(&accelos, workload[1], 2016);
     let arrivals = vec![t_batch / 4, 0, 0];
     let ctx = runner.rep_context(&workload, 2016);
-    let report = runner.preemptive_report(&ctx, &PriorityPolicy::default(), &arrivals);
+    let report = runner.preemptive_report(
+        &ctx,
+        &PriorityPolicy::default(),
+        &arrivals,
+        &FaultPlan::default(),
+    );
     assert_matches_golden(
         &format!("{report:#?}\n"),
         concat!(
@@ -591,8 +602,18 @@ fn deadline_and_sla_scenarios_match_golden_report() {
     let t_batch = runner.isolated_time(&accelos, workload[1], 2016);
     let arrivals = vec![t_batch / 4, 0, 0];
     let ctx = runner.rep_context(&workload, 2016);
-    let deadline = runner.preemptive_report(&ctx, &DeadlinePolicy::default(), &arrivals);
-    let sla = runner.preemptive_report(&ctx, &SlaPolicy::new(&[4, 0, 0]), &arrivals);
+    let deadline = runner.preemptive_report(
+        &ctx,
+        &DeadlinePolicy::default(),
+        &arrivals,
+        &FaultPlan::default(),
+    );
+    let sla = runner.preemptive_report(
+        &ctx,
+        &SlaPolicy::new(&[4, 0, 0]),
+        &arrivals,
+        &FaultPlan::default(),
+    );
     assert_matches_golden(
         &format!("deadline:\n{deadline:#?}\nsla:\n{sla:#?}\n"),
         concat!(
@@ -604,9 +625,10 @@ fn deadline_and_sla_scenarios_match_golden_report() {
 
 /// Fault determinism through the whole harness stack: the same
 /// [`FaultSpec`] and seed draw the same plan, and the same plan on the
-/// same session is byte-identical run to run; a zero-fault plan is
-/// bit-identical to the fault-free preemptive path (the golden snapshots
-/// above therefore never notice the fault plane).
+/// same session is byte-identical run to run; a zero-fault plan, even one
+/// carrying a failure-domain partition, is bit-identical to the
+/// fault-free preemptive path (the golden snapshots above therefore
+/// never notice the fault plane).
 #[test]
 fn faulty_harness_runs_are_deterministic_and_zero_fault_is_identity() {
     let runner = Runner::new(DeviceConfig::k20m());
@@ -631,8 +653,8 @@ fn faulty_harness_runs_are_deterministic_and_zero_fault_is_identity() {
     );
     let ctx = runner.rep_context(&workload, 2016);
     let policy = PriorityPolicy::default();
-    let a = runner.faulty_report(&ctx, &policy, &arrivals, &plan);
-    let b = runner.faulty_report(&ctx, &policy, &arrivals, &plan);
+    let a = runner.preemptive_report(&ctx, &policy, &arrivals, &plan);
+    let b = runner.preemptive_report(&ctx, &policy, &arrivals, &plan);
     assert_eq!(
         format!("{a:#?}"),
         format!("{b:#?}"),
@@ -640,8 +662,17 @@ fn faulty_harness_runs_are_deterministic_and_zero_fault_is_identity() {
     );
     assert!(a.faults_injected > 0);
 
-    let clean = runner.faulty_report(&ctx, &policy, &arrivals, &FaultPlan::default());
-    let plain = runner.preemptive_report(&ctx, &policy, &arrivals);
+    // A zero-fault plan that still carries a domain partition.
+    let partitioned = FaultPlan::from_spec_with_domains(
+        &FaultSpec::none(1_000),
+        runner.device().num_cus,
+        workload.len(),
+        4,
+        7,
+    );
+    assert!(partitioned.is_empty() && !partitioned.domains.is_empty());
+    let clean = runner.preemptive_report(&ctx, &policy, &arrivals, &partitioned);
+    let plain = runner.preemptive_report(&ctx, &policy, &arrivals, &FaultPlan::default());
     assert_eq!(clean, plain, "zero faults must not perturb the timeline");
     assert_eq!(
         format!("{clean:?}"),

@@ -28,7 +28,8 @@ use accelos::proxycl::{PendingExec, ProxyCl};
 use accelos::scheduler::ExecRequest;
 use clrt::{Arg, Platform};
 use gpu_sim::{
-    DeviceConfig, KernelLaunch, LaunchId, ReclaimCmd, ResumeCmd, SimReport, Simulator, WorkGroupReq,
+    DeviceConfig, FaultPlan, KernelLaunch, LaunchId, ReclaimCmd, ResumeCmd, SimReport, Simulator,
+    WorkGroupReq,
 };
 use kernel_ir::interp::NdRange;
 use proptest::prelude::*;
@@ -229,12 +230,12 @@ fn runner_store_learns_and_reproduces_the_deadline_plan() {
 
     let plain = Runner::new(DeviceConfig::k20m());
     let ctx = plain.rep_context(&workload, 2016);
-    let reference = plain.preemptive_report(&ctx, &policy, &arrivals);
+    let reference = plain.preemptive_report(&ctx, &policy, &arrivals, &FaultPlan::default());
 
     let runner = Runner::new(DeviceConfig::k20m());
     runner.set_profile_store(ProfileStore::new());
     let ctx2 = runner.rep_context(&workload, 2016);
-    let first = runner.preemptive_report(&ctx2, &policy, &arrivals);
+    let first = runner.preemptive_report(&ctx2, &policy, &arrivals, &FaultPlan::default());
     assert_eq!(
         format!("{first:#?}"),
         format!("{reference:#?}"),
@@ -243,7 +244,7 @@ fn runner_store_learns_and_reproduces_the_deadline_plan() {
     let store = runner.take_profile_store().expect("store was attached");
     assert_eq!(store.len(), 1, "the deadlined index was recorded");
     runner.set_profile_store(store);
-    let warmed = runner.preemptive_report(&ctx2, &policy, &arrivals);
+    let warmed = runner.preemptive_report(&ctx2, &policy, &arrivals, &FaultPlan::default());
     assert_eq!(
         format!("{warmed:#?}"),
         format!("{reference:#?}"),
